@@ -8,7 +8,7 @@ same-front ties.
 """
 
 from . import bench, cli, de, metrics, pareto, scheduler, space
-from .de import DEParams, Individual
+from .de import DEParams
 from .errors import (
     BenchmarkError,
     BracketError,
@@ -54,7 +54,6 @@ __all__ = [
     "EvaluationRecord",
     "FidelityLadder",
     "HVSeries",
-    "Individual",
     "InsufficientParentsError",
     "LadderError",
     "MetricsError",

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
-from scipy.stats import rankdata
 
 from . import bench, metrics, optimizer
 from .errors import EvaluationError, MetricsError, ModehbError
@@ -313,25 +312,37 @@ def cmd_run(config_path: str, workers: int = 1) -> int:
 
 
 def _load_runs(out_dir: Path):
+    """Optimizer names, seeds, empirical best HV, benchmark and archived runs."""
     summary_path = out_dir / "summary.json"
     if not summary_path.exists():
         raise _UsageError(f"{summary_path}: no summary found; run an experiment first")
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    config = summary["config"]
-    ladder, benchmark, _, _ = _resolve(config)
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        config = summary["config"]
+        ladder, benchmark, _, _ = _resolve(config)
+        opt_names = [o["name"] for o in config["optimizers"]]
+        seeds, best = config["seeds"], float(summary["empirical_best_hv"])
+        entries = [(e["optimizer"], e["seed"], e["archive"]) for e in summary["runs"]]
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"{summary_path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (KeyError, TypeError) as exc:
+        raise _UsageError(
+            f"{summary_path}: malformed summary ({type(exc).__name__}: {exc})"
+        ) from exc
     runs = {}
-    for entry in summary["runs"]:
+    for name, seed, archive in entries:
         meta = metrics.RunMetadata(
-            seed=entry["seed"],
-            optimizer=entry["optimizer"],
+            seed=seed,
+            optimizer=name,
             benchmark=benchmark.name,
             ladder=ladder,
             stop_cause=None,
         )
-        runs[(entry["optimizer"], entry["seed"])] = read_archive_csv(
-            out_dir / entry["archive"], meta
-        )
-    return summary, benchmark, runs
+        try:
+            runs[(name, seed)] = read_archive_csv(out_dir / archive, meta)
+        except OSError as exc:
+            raise _UsageError(f"{out_dir / archive}: {exc.strerror}") from exc
+    return opt_names, seeds, best, benchmark, runs
 
 
 def _hv_at(series: metrics.HVSeries, t: float) -> float:
@@ -348,12 +359,9 @@ def _write_table(path: Path, header: list[str], rows):
 
 def cmd_report(out_dir: str, attainment: str | None = None) -> int:
     out = Path(out_dir)
-    summary, benchmark, runs = _load_runs(out)
+    opt_names, seeds, best, benchmark, runs = _load_runs(out)
     if not runs:
         raise _UsageError(f"{out}: summary lists no runs")
-    config = summary["config"]
-    opt_names = [o["name"] for o in config["optimizers"]]
-    seeds = config["seeds"]
     bounds = benchmark.objective_bounds
     n_runs_per_opt = len(seeds)
 
@@ -373,7 +381,6 @@ def cmd_report(out_dir: str, attainment: str | None = None) -> int:
             )
 
     series = {key: metrics.hv_trajectory(run, bounds) for key, run in runs.items()}
-    best = float(summary["empirical_best_hv"])
     t_lo = min(float(s.cumulative_cost[0]) for s in series.values())
     t_hi = max(float(s.cumulative_cost[-1]) for s in series.values())
     grid = np.geomspace(t_lo, t_hi, TIME_GRID_POINTS)
@@ -408,7 +415,10 @@ def cmd_report(out_dir: str, attainment: str | None = None) -> int:
         sums = np.zeros(len(opt_names))
         for s in seeds:
             hvs = np.array([_hv_at(series[(name, s)], t) for name in opt_names])
-            sums += rankdata(-hvs, method="average")
+            # Average rank, 1 = highest HV: count above + (count tied + 1) / 2.
+            above = (hvs[None, :] > hvs[:, None]).sum(axis=1)
+            tied = (hvs[None, :] == hvs[:, None]).sum(axis=1)
+            sums += above + (tied + 1) / 2
         rank_rows.append([_fmt(t)] + [_fmt(v) for v in sums / len(seeds)])
     _write_table(out / "report_rank.csv", ["time"] + list(opt_names), rank_rows)
     return 0

@@ -11,15 +11,11 @@ parent's own sub-population) is evicted instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError, InsufficientParentsError, SelectionError
 from .pareto import hv_contributions, non_dominated_sort
-
-if TYPE_CHECKING:
-    from .optimizer import EvaluationRecord
 
 
 @dataclass(frozen=True)
@@ -34,14 +30,6 @@ class DEParams:
             raise ValueError(f"scaling_factor must be in (0, 2], got {self.scaling_factor}")
         if not 0.0 < self.crossover_prob <= 1.0:
             raise ValueError(f"crossover_prob must be in (0, 1], got {self.crossover_prob}")
-
-
-@dataclass
-class Individual:
-    """A genotype plus its evaluation record once evaluated."""
-
-    genotype: np.ndarray
-    record: "EvaluationRecord | None" = None
 
 
 def rand1_combine(r1, r2, r3, scaling_factor: float) -> np.ndarray:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .de import DEParams, Individual, crossover_binomial, mo_selection, mutate_rand1
-from .errors import EvaluationError, NormalizationError, SelectionError
+from .de import DEParams, crossover_binomial, mo_selection, mutate_rand1
+from .errors import EvaluationError, NormalizationError
 from .metrics import RunMetadata, RunTrajectory
 from .pareto import rank_and_truncate
 from .scheduler import BracketPlan, FidelityLadder, dehb_iteration_plan
@@ -95,30 +95,41 @@ class _BudgetExhausted(Exception):
 
 
 @dataclass
+class _Archive:
+    """Evaluation records in seq order and their summed reported cost."""
+
+    records: list[EvaluationRecord] = field(default_factory=list)
+    cost: float = 0.0
+
+
+@dataclass
 class OptimizerState:
-    """Mutable per-run state shared by the rung-evolution steps."""
+    """Mutable per-run state shared by the rung-evolution steps.
+
+    The global population is stored as parallel row arrays grouped by
+    fidelity, cheapest first; ``rows[level]`` is the fixed block of rows
+    owned by that level's sub-population.  A row's seq is 0 (objectives
+    NaN) until its first evaluation.
+    """
 
     space: SearchSpace
     ladder: FidelityLadder
     variant: str
     de_params: DEParams
     rng: np.random.Generator
-    capacities: dict[float, int]
+    rows: dict[float, range]
     objective_mins: np.ndarray
     objective_ranges: np.ndarray
-    sub_populations: dict[float, list[Individual]] = field(default_factory=dict)
+    genotypes: np.ndarray
+    objectives: np.ndarray
+    owners: np.ndarray
+    seqs: np.ndarray
     parent_pool: dict[float, list[np.ndarray]] = field(default_factory=dict)
-    archive: list[EvaluationRecord] = field(default_factory=list)
-    cumulative_cost: float = 0.0
+    archive: _Archive = field(default_factory=_Archive)
 
     @property
-    def global_population(self) -> list[Individual]:
-        """Union view over all sub-populations, cheapest fidelity first."""
-        return [
-            ind
-            for level in self.ladder.levels
-            for ind in self.sub_populations.get(level, [])
-        ]
+    def capacities(self) -> dict[float, int]:
+        return {level: len(rows) for level, rows in self.rows.items()}
 
     def normalized(self, objectives) -> np.ndarray:
         """Scale objectives so the declared bounds map to [0, 1].
@@ -131,15 +142,15 @@ class OptimizerState:
             self.objective_ranges
         )
 
-    def audit(self):
-        """Cheap consistency check run after every rung pass."""
-        for level, members in self.sub_populations.items():
-            assert len(members) == self.capacities[level], (
-                f"sub-population at {level} has {len(members)} members, "
-                f"capacity {self.capacities[level]}"
-            )
-            for ind in members:
-                assert ind.record is not None and ind.record.fidelity == level
+    def store(self, row: int, record: EvaluationRecord):
+        """Make the evaluated record the member held in ``row``."""
+        self.genotypes[row] = record.genotype
+        self.objectives[row] = record.objectives
+        self.seqs[row] = record.seq
+
+    def members(self, level: float) -> list[EvaluationRecord]:
+        """Records of the sub-population at ``level``, in row order."""
+        return [self.archive.records[s - 1] for s in self.seqs[self.rows[level]]]
 
 
 def initialize(
@@ -162,22 +173,29 @@ def initialize(
     if np.any(ranges <= 0):
         raise NormalizationError(f"degenerate objective bounds {objective_bounds}")
     rng = derive_rng(seed, "optimizer")
-    first = dehb_iteration_plan(ladder)[0]
-    state = OptimizerState(
+    capacities = dict(dehb_iteration_plan(ladder)[0].rungs)
+    ends = np.cumsum(list(capacities.values()))
+    rows = {
+        level: range(end - n, end) for (level, n), end in zip(capacities.items(), ends)
+    }
+    n_rows = int(ends[-1])
+    genotypes = np.zeros((n_rows, len(space)))
+    for row in rows[ladder.levels[0]]:
+        genotypes[row] = encode_sample(space, rng)
+    return OptimizerState(
         space=space,
         ladder=ladder,
         variant=variant,
         de_params=de_params or DEParams(),
         rng=rng,
-        capacities=dict(first.rungs),
+        rows=rows,
         objective_mins=mins,
         objective_ranges=ranges,
+        genotypes=genotypes,
+        objectives=np.full((n_rows, len(mins)), np.nan),
+        owners=np.repeat(list(capacities), list(capacities.values())),
+        seqs=np.zeros(n_rows, dtype=int),
     )
-    b_min = ladder.levels[0]
-    state.sub_populations[b_min] = [
-        Individual(encode_sample(space, rng)) for _ in range(state.capacities[b_min])
-    ]
-    return state
 
 
 def promote(records, k: int, variant: str) -> list[np.ndarray]:
@@ -187,8 +205,11 @@ def promote(records, k: int, variant: str) -> list[np.ndarray]:
     return [records[i].genotype for i in chosen]
 
 
-def _evaluate(state, objective_fn, genotype, fidelity, stop) -> EvaluationRecord:
-    cause = stop.cause_if_tripped(len(state.archive), state.cumulative_cost)
+def _evaluate(
+    archive: _Archive, objective_fn, genotype, fidelity, stop
+) -> EvaluationRecord:
+    """The one evaluation path: stop check, call, validation, bookkeeping."""
+    cause = stop.cause_if_tripped(len(archive.records), archive.cost)
     if cause is not None:
         raise _BudgetExhausted(cause)
     try:
@@ -201,14 +222,14 @@ def _evaluate(state, objective_fn, genotype, fidelity, stop) -> EvaluationRecord
     if not np.all(np.isfinite(objectives)):
         raise EvaluationError(f"non-finite objectives {objectives}")
     record = EvaluationRecord(
-        seq=len(state.archive) + 1,
+        seq=len(archive.records) + 1,
         genotype=np.array(genotype, dtype=float, copy=True),
         fidelity=float(fidelity),
         objectives=objectives,
         cost=float(cost),
     )
-    state.archive.append(record)
-    state.cumulative_cost += record.cost
+    archive.records.append(record)
+    archive.cost += record.cost
     return record
 
 
@@ -222,11 +243,9 @@ def _mutation_pool(state: OptimizerState, fidelity: float) -> list[np.ndarray]:
     pool = list(state.parent_pool.get(fidelity, ()))
     if len(pool) >= 3:
         return pool
-    candidates = [
-        ind.genotype
-        for ind in state.global_population
-        if not any(np.array_equal(ind.genotype, g) for g in pool)
-    ]
+    pool_rows = np.reshape(pool, (-1, state.genotypes.shape[1]))
+    in_pool = (state.genotypes[:, None] == pool_rows).all(axis=2).any(axis=1)
+    candidates = state.genotypes[~in_pool]
     take = min(3 - len(pool), len(candidates))
     if take > 0:
         for i in state.rng.choice(len(candidates), size=take, replace=False):
@@ -236,40 +255,23 @@ def _mutation_pool(state: OptimizerState, fidelity: float) -> list[np.ndarray]:
     return pool
 
 
-def _apply_selection(
-    state: OptimizerState, fidelity: float, slot: int, offspring: Individual
-):
-    """Run survivor selection for one offspring and apply the outcome."""
-    if offspring.record is None:
-        raise SelectionError("offspring must be evaluated before selection")
-    rows: list[tuple[float, int]] = []
-    objectives = []
-    owners = []
-    seqs = []
-    for level in state.ladder.levels:
-        for j, ind in enumerate(state.sub_populations.get(level, [])):
-            rows.append((level, j))
-            objectives.append(ind.record.objectives)
-            owners.append(level)
-            seqs.append(ind.record.seq)
-    parent_row = rows.index((fidelity, slot))
-    objectives.append(offspring.record.objectives)
-    owners.append(fidelity)
-    seqs.append(offspring.record.seq)
-    offspring_row = len(rows)
+def _apply_selection(state: OptimizerState, row: int, record: EvaluationRecord):
+    """Run survivor selection for the offspring of ``row``'s member.
+
+    The offspring is appended as the last row; unless it is the victim it
+    takes the victim's row, which always lies in the parent's slice.
+    """
+    n_rows = len(state.seqs)
     victim = mo_selection(
-        state.normalized(np.array(objectives)),
-        owners,
-        seqs,
-        parent_row,
-        offspring_row,
+        state.normalized(np.vstack([state.objectives, record.objectives])),
+        np.append(state.owners, record.fidelity),
+        np.append(state.seqs, record.seq),
+        row,
+        n_rows,
         _REF,
     )
-    if victim == offspring_row:
-        return
-    level, j = rows[victim]
-    assert level == fidelity, "victim must belong to the evolved sub-population"
-    state.sub_populations[level][j] = offspring
+    if victim < n_rows:
+        state.store(victim, record)
 
 
 def evolve_rung(
@@ -282,35 +284,31 @@ def evolve_rung(
     through the members again, so every bracket spends its proper
     successive-halving budget regardless of the frozen capacities.
     """
-    sub = state.sub_populations[fidelity]
+    rows = state.rows[fidelity]
     if n_slots is None:
-        n_slots = len(sub)
+        n_slots = len(rows)
     for raw_slot in range(n_slots):
-        slot = raw_slot % len(sub)
-        parent = sub[slot]
+        row = rows[raw_slot % len(rows)]
         pool = _mutation_pool(state, fidelity)
         mutant = mutate_rand1(pool, state.de_params, state.rng)
         child = crossover_binomial(
-            parent.genotype, mutant, state.de_params, state.rng
+            state.genotypes[row], mutant, state.de_params, state.rng
         )
-        record = _evaluate(state, objective_fn, child, fidelity, stop)
-        _apply_selection(state, fidelity, slot, Individual(child, record))
-    state.audit()
+        record = _evaluate(state.archive, objective_fn, child, fidelity, stop)
+        _apply_selection(state, row, record)
 
 
 def _vanilla_bracket(state: OptimizerState, bracket: BracketPlan, objective_fn, stop):
     """First bracket: evaluate the random init, promote, fill upwards."""
     b_min, _ = bracket.rungs[0]
-    for ind in state.sub_populations[b_min]:
-        ind.record = _evaluate(state, objective_fn, ind.genotype, b_min, stop)
+    for row in state.rows[b_min]:
+        genotype = state.genotypes[row]
+        state.store(row, _evaluate(state.archive, objective_fn, genotype, b_min, stop))
     for (level, _), (nxt, n_nxt) in zip(bracket.rungs, bracket.rungs[1:]):
-        records = [ind.record for ind in state.sub_populations[level]]
-        genotypes = promote(records, min(n_nxt, len(records)), state.variant)
+        genotypes = promote(state.members(level), n_nxt, state.variant)
         state.parent_pool[nxt] = list(genotypes)
-        state.sub_populations[nxt] = [
-            Individual(g, _evaluate(state, objective_fn, g, nxt, stop))
-            for g in genotypes
-        ]
+        for row, g in zip(state.rows[nxt], genotypes):
+            state.store(row, _evaluate(state.archive, objective_fn, g, nxt, stop))
 
 
 def _de_bracket(state: OptimizerState, bracket: BracketPlan, objective_fn, stop):
@@ -318,10 +316,31 @@ def _de_bracket(state: OptimizerState, bracket: BracketPlan, objective_fn, stop)
         evolve_rung(state, level, objective_fn, stop, n_configs)
         if i + 1 < len(bracket.rungs):
             nxt, n_nxt = bracket.rungs[i + 1]
-            records = [ind.record for ind in state.sub_populations[level]]
+            records = state.members(level)
             state.parent_pool[nxt] = promote(
                 records, min(n_nxt, len(records)), state.variant
             )
+
+
+def _trajectory(
+    archive: _Archive, step, seed: int, optimizer: str, ladder, benchmark_name: str
+) -> RunTrajectory:
+    """Repeat ``step`` until the budget trips; return the seq-ordered archive."""
+    try:
+        while True:
+            step()
+    except _BudgetExhausted as exhausted:
+        stop_cause = exhausted.cause
+    return RunTrajectory(
+        records=tuple(archive.records),
+        metadata=RunMetadata(
+            seed=seed,
+            optimizer=optimizer,
+            benchmark=benchmark_name,
+            ladder=ladder,
+            stop_cause=stop_cause,
+        ),
+    )
 
 
 def run(
@@ -344,28 +363,16 @@ def run(
     """
     state = initialize(space, ladder, seed, variant, de_params, objective_bounds)
     plan = dehb_iteration_plan(ladder)
-    stop_cause = None
-    first = True
-    try:
-        while True:
-            state.parent_pool.clear()
-            for bracket in plan:
-                if first:
-                    _vanilla_bracket(state, bracket, objective_fn, stop)
-                    first = False
-                else:
-                    _de_bracket(state, bracket, objective_fn, stop)
-    except _BudgetExhausted as exhausted:
-        stop_cause = exhausted.cause
-    return RunTrajectory(
-        records=tuple(state.archive),
-        metadata=RunMetadata(
-            seed=seed,
-            optimizer=f"modehb_{variant}",
-            benchmark=benchmark_name,
-            ladder=ladder,
-            stop_cause=stop_cause,
-        ),
+
+    def iteration():
+        state.parent_pool.clear()
+        for bracket in plan:
+            # Only the opening bracket starts from an empty archive.
+            fill = _de_bracket if state.archive.records else _vanilla_bracket
+            fill(state, bracket, objective_fn, stop)
+
+    return _trajectory(
+        state.archive, iteration, seed, f"modehb_{variant}", ladder, benchmark_name
     )
 
 
@@ -378,41 +385,16 @@ def run_random_search(
     *,
     benchmark_name: str = "",
 ) -> RunTrajectory:
-    """Uniform random sampling evaluated at b_max only (the baseline)."""
+    """Uniform random sampling evaluated at b_max only (the baseline).
+
+    Each step draws its genotype before the stop check, so the draw that
+    meets the exhausted budget is discarded unevaluated.
+    """
     rng = derive_rng(seed, "optimizer")
-    b_max = ladder.levels[-1]
-    archive: list[EvaluationRecord] = []
-    cumulative = 0.0
-    stop_cause = None
-    while True:
-        stop_cause = stop.cause_if_tripped(len(archive), cumulative)
-        if stop_cause is not None:
-            break
+    archive = _Archive()
+
+    def step():
         genotype = encode_sample(space, rng)
-        try:
-            objectives, cost = objective_fn(genotype, b_max)
-        except Exception as exc:
-            raise EvaluationError(f"evaluation failed at b_max: {exc}") from exc
-        objectives = np.asarray(objectives, dtype=float)
-        if not np.all(np.isfinite(objectives)):
-            raise EvaluationError(f"non-finite objectives {objectives}")
-        archive.append(
-            EvaluationRecord(
-                seq=len(archive) + 1,
-                genotype=genotype,
-                fidelity=float(b_max),
-                objectives=objectives,
-                cost=float(cost),
-            )
-        )
-        cumulative += float(cost)
-    return RunTrajectory(
-        records=tuple(archive),
-        metadata=RunMetadata(
-            seed=seed,
-            optimizer="random_search",
-            benchmark=benchmark_name,
-            ladder=ladder,
-            stop_cause=stop_cause,
-        ),
-    )
+        _evaluate(archive, objective_fn, genotype, ladder.levels[-1], stop)
+
+    return _trajectory(archive, step, seed, "random_search", ladder, benchmark_name)

@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modehb
 from modehb import bench, cli
 from modehb.metrics import RunMetadata
 from modehb.optimizer import StoppingCriteria, run_random_search
@@ -204,10 +209,47 @@ def test_report_rank_rows_sum_to_constant(run_dir):
         assert sum(float(v) for v in row[1:]) == pytest.approx(6.0)
 
 
-def test_report_usage_errors(tmp_path, run_dir):
+def test_report_usage_errors(tmp_path, run_dir, capsys):
     assert cli.main(["report", str(tmp_path / "nowhere")]) == 2
     assert cli.main(["report", str(run_dir), "--attainment", "5"]) == 2
     assert cli.main(["report", str(run_dir), "--attainment", "x"]) == 2
+    capsys.readouterr()
+
+    def broken_copy(name, break_it):
+        out = shutil.copytree(run_dir, tmp_path / name)
+        break_it(out)
+        assert cli.main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    archive = "random_search_seed1_archive.csv"
+    broken_copy("no_archive", lambda out: (out / archive).unlink())
+    broken_copy("bad_json", lambda out: (out / "summary.json").write_text("{", "utf-8"))
+    broken_copy("no_key", lambda out: (out / "summary.json").write_text("{}", "utf-8"))
+
+
+# ------------------------------------------------------- python -m modehb
+
+
+def _python(*args):
+    env = dict(os.environ)
+    src = str(Path(modehb.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python("-m", "modehb", "bench-oracle", "toy_grid", "--k", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert "front_size: 2" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    proc = _python("-c", "import sys, modehb; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # -------------------------------------------------------------- round trip

@@ -5,7 +5,6 @@ import pytest
 
 from modehb.de import (
     DEParams,
-    Individual,
     crossover_binomial,
     mo_selection,
     mutate_rand1,
@@ -220,8 +219,3 @@ def test_selection_validates_inputs():
         mo_selection(objectives, [1.0, 1.0], [1, 2], 0, 5, REF)
     with pytest.raises(SelectionError):
         mo_selection(objectives, [1.0], [1, 2], 0, 1, REF)
-
-
-def test_individual_holds_genotype_and_record():
-    ind = Individual(np.array([0.5, 0.5]))
-    assert ind.record is None

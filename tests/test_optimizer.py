@@ -83,13 +83,17 @@ def test_initialize_freezes_first_bracket_capacities():
 
 def test_initialize_samples_lowest_subpopulation_unevaluated():
     state = initialize(BENCH.space, LADDER, seed=3, variant="nsga2")
-    members = state.sub_populations[1.0]
-    assert len(members) == 9
-    assert all(ind.record is None for ind in members)
-    assert 3.0 not in state.sub_populations
+    assert state.rows == {1.0: range(0, 9), 3.0: range(9, 12), 9.0: range(12, 13)}
+    assert state.genotypes.shape == (13, 3)
+    # Only the b_min slice is sampled.
+    low = state.genotypes[:9]
+    assert np.all((low >= 0.0) & (low <= 1.0)) and len(np.unique(low, axis=0)) == 9
+    assert not state.genotypes[9:].any()
+    # No row is evaluated yet.
+    assert not state.seqs.any() and np.isnan(state.objectives).all()
+    assert state.archive.records == []
     again = initialize(BENCH.space, LADDER, seed=3, variant="nsga2")
-    for a, b in zip(members, again.sub_populations[1.0]):
-        assert np.array_equal(a.genotype, b.genotype)
+    assert np.array_equal(state.genotypes, again.genotypes)
 
 
 def test_initialize_validation():
