@@ -12,7 +12,6 @@ from .de import DEParams
 from .errors import (
     BenchmarkError,
     BracketError,
-    ConfigError,
     DimensionError,
     EmptyPopulationError,
     EvaluationError,
@@ -46,7 +45,6 @@ __all__ = [
     "BenchmarkError",
     "BracketError",
     "BracketPlan",
-    "ConfigError",
     "DEParams",
     "DimensionError",
     "EmptyPopulationError",

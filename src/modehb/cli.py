@@ -9,21 +9,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
 from . import bench, metrics, optimizer
-from .errors import EvaluationError, MetricsError, ModehbError
+from .errors import EmptyPopulationError, EvaluationError, MetricsError, ModehbError
 from .de import DEParams
 from .scheduler import build_ladder
 from .optimizer import StoppingCriteria, tae_budget
-
-logger = logging.getLogger(__name__)
 
 OPTIMIZER_NAMES = ("modehb_nsga2", "modehb_epsnet", "random_search")
 
@@ -168,11 +166,6 @@ def _execute_run(config: dict, opt_entry: dict, seed: int) -> metrics.RunTraject
     )
 
 
-def _worker(args):
-    config, opt_entry, seed = args
-    return _execute_run(config, opt_entry, seed)
-
-
 def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
@@ -237,16 +230,17 @@ def cmd_run(config_path: str, workers: int = 1) -> int:
     try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(_worker, [(config, o, s) for o, s in jobs])
-                )
+                results = list(pool.map(_execute_run, repeat(config), *zip(*jobs)))
         else:
             results = [_execute_run(config, o, s) for o, s in jobs]
 
+        bounds = benchmark.objective_bounds
+        try:
+            best = metrics.empirical_best_hv(results, bounds)
+        except EmptyPopulationError as exc:
+            raise _UsageError(f"{config_path}: {exc}; raise stop.max_tae") from exc
         out_dir.mkdir(parents=True, exist_ok=True)
         trajectories = dict(zip([(o["name"], s) for o, s in jobs], results))
-        bounds = benchmark.objective_bounds
-        best = metrics.empirical_best_hv(results, bounds)
         summary: dict = {
             "config": resolved,
             "empirical_best_hv": best,
@@ -342,6 +336,8 @@ def _load_runs(out_dir: Path):
             runs[(name, seed)] = read_archive_csv(out_dir / archive, meta)
         except OSError as exc:
             raise _UsageError(f"{out_dir / archive}: {exc.strerror}") from exc
+        except (ValueError, IndexError) as exc:
+            raise _UsageError(f"{out_dir / archive}: malformed archive row ({exc})") from exc
     return opt_names, seeds, best, benchmark, runs
 
 
@@ -458,7 +454,7 @@ def cmd_bench_oracle(
 
         dense = benchmark.front_curve(samples)
         sampled = hypervolume(
-            metrics.normalize(dense, benchmark.objective_bounds, warn=False),
+            metrics.normalize(dense, benchmark.objective_bounds),
             np.array([1.0, 1.0]),
         )
         print(f"sampled_front_hv: {_fmt(sampled)} ({samples} points)")
@@ -495,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":

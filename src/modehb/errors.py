@@ -51,7 +51,3 @@ class MetricsError(ModehbError):
 
 class EvaluationError(ModehbError):
     """An objective evaluation raised; the run is aborted, never skipped."""
-
-
-class ConfigError(ModehbError):
-    """Experiment configuration violates the schema."""

@@ -8,7 +8,6 @@ objective space with reference point (1, 1).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -20,8 +19,6 @@ from .scheduler import FidelityLadder
 
 if TYPE_CHECKING:
     from .optimizer import EvaluationRecord
-
-logger = logging.getLogger(__name__)
 
 LOG_HV_DIFF_FLOOR = 1e-12
 
@@ -54,12 +51,10 @@ class HVSeries:
     hv: np.ndarray
 
 
-def normalize(values, bounds, *, warn: bool = True) -> np.ndarray:
+def normalize(values, bounds) -> np.ndarray:
     """Min-max normalize objective vectors (rows) into [0, 1].
 
-    Values outside the bounds are clamped; by contract that should only
-    happen marginally, so clamping logs a warning (one aggregate message
-    per call).
+    Values outside the bounds are clamped onto them.
 
     Raises:
         NormalizationError: If any bound is degenerate (min >= max).
@@ -73,21 +68,17 @@ def normalize(values, bounds, *, warn: bool = True) -> np.ndarray:
         raise NormalizationError(
             f"{arr.shape[1]} objectives but {len(bounds)} bounds"
         )
-    out = (arr - lo) / (hi - lo)
-    outside = (out < 0.0) | (out > 1.0)
-    if np.any(outside):
-        if warn:
-            logger.warning(
-                "clamped %d of %d normalized values outside [0, 1]",
-                int(outside.sum()),
-                out.size,
-            )
-        out = np.clip(out, 0.0, 1.0)
+    out = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
     return out if np.asarray(values).ndim > 1 else out[0]
 
 
-def _is_bmax(record, b_max: float) -> bool:
-    return record.fidelity == b_max
+def _bmax_points(run: RunTrajectory, bounds) -> np.ndarray:
+    """Normalized objectives of the run's b_max records, (n, m) in seq order."""
+    b_max = run.metadata.ladder.b_max
+    objectives = [rec.objectives for rec in run.records if rec.fidelity == b_max]
+    if not objectives:
+        return np.empty((0, len(bounds)))
+    return normalize(objectives, bounds)
 
 
 def hv_trajectory(run: RunTrajectory, bounds) -> HVSeries:
@@ -104,6 +95,7 @@ def hv_trajectory(run: RunTrajectory, bounds) -> HVSeries:
     points, so the values are bit-identical to recomputing from scratch.
     """
     b_max = run.metadata.ladder.b_max
+    points = iter(_bmax_points(run, bounds))
     ref = np.array([1.0, 1.0])
     costs = np.empty(len(run.records))
     taes = np.empty(len(run.records), dtype=int)
@@ -113,9 +105,9 @@ def hv_trajectory(run: RunTrajectory, bounds) -> HVSeries:
     cumulative = 0.0
     for i, rec in enumerate(run.records):
         cumulative += rec.cost
-        if _is_bmax(rec, b_max):
+        if rec.fidelity == b_max:
             # Clamped into [0, 1], so never beyond the reference point.
-            point = normalize(rec.objectives, bounds, warn=False)
+            point = next(points)
             if not np.all(staircase <= point, axis=1).any():
                 kept = staircase[~np.all(point <= staircase, axis=1)]
                 staircase = np.vstack([kept, point])
@@ -137,31 +129,16 @@ def empirical_best_hv(runs, bounds) -> float:
     Raises:
         EmptyPopulationError: If no run holds any full-fidelity record.
     """
-    points = []
-    for run in runs:
-        b_max = run.metadata.ladder.b_max
-        points.extend(
-            normalize(rec.objectives, bounds, warn=False)
-            for rec in run.records
-            if _is_bmax(rec, b_max)
-        )
-    if not points:
+    points = [_bmax_points(run, bounds) for run in runs]
+    if not any(len(p) for p in points):
         raise EmptyPopulationError("no full-fidelity records in any run")
-    return hypervolume(np.array(points), np.array([1.0, 1.0]))
+    return hypervolume(np.vstack(points), np.array([1.0, 1.0]))
 
 
 def final_front(run: RunTrajectory, bounds) -> np.ndarray:
     """Non-dominated normalized b_max points of the whole archive."""
-    b_max = run.metadata.ladder.b_max
-    pts = [
-        normalize(rec.objectives, bounds, warn=False)
-        for rec in run.records
-        if _is_bmax(rec, b_max)
-    ]
-    if not pts:
-        return np.empty((0, 2))
-    pts = np.array(pts)
-    return pts[non_dominated_sort(pts)[0]]
+    pts = _bmax_points(run, bounds)
+    return pts[non_dominated_sort(pts)[0]] if len(pts) else pts
 
 
 def attainment_surface(runs, k: int, bounds) -> np.ndarray:

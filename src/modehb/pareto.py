@@ -42,15 +42,20 @@ def dominates(a, b) -> bool:
 
 def _domination_matrix(pts: np.ndarray) -> np.ndarray:
     """dom[i, j] == True iff point i dominates point j."""
-    leq = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)
-    lt = np.any(pts[:, None, :] < pts[None, :, :], axis=2)
+    leq = np.ones((len(pts), len(pts)), dtype=bool)
+    lt = np.zeros_like(leq)
+    for col in pts.T:
+        leq &= col[:, None] <= col
+        lt |= col[:, None] < col
     return leq & lt
 
 
 def non_dominated_sort(points) -> list[list[int]]:
     """Partition points into fronts F1 < F2 < ... of input indices.
 
-    Within each front the input order is preserved.
+    Within each front the input order is preserved.  Fronts are peeled
+    whole: a point joins the next front once every point dominating it
+    has been placed.
 
     Raises:
         EmptyPopulationError: If no points were given.
@@ -62,16 +67,12 @@ def non_dominated_sort(points) -> list[list[int]]:
     dom = _domination_matrix(pts)
     counts = dom.sum(axis=0)
     fronts: list[list[int]] = []
-    current = [i for i in range(len(pts)) if counts[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt: list[int] = []
-        for i in current:
-            for j in np.flatnonzero(dom[i]):
-                counts[j] -= 1
-                if counts[j] == 0:
-                    nxt.append(int(j))
-        current = sorted(nxt)
+    front = np.flatnonzero(counts == 0)
+    while front.size:
+        fronts.append(front.tolist())
+        counts[front] = -1  # placed; nothing placed later dominates them
+        counts -= dom[front].sum(axis=0)
+        front = np.flatnonzero(counts == 0)
     return fronts
 
 

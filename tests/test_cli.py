@@ -137,6 +137,16 @@ def test_run_usage_errors(tmp_path, capsys):
     config = base_config(tmp_path / "out")
     config["ladder"] = {"b_min": 1, "b_max": 5, "eta": 2}
     assert cli.main(["run", str(write_config(tmp_path, config))]) == 2
+    capsys.readouterr()
+
+    # Three evaluations never reach b_max: nothing to report, nothing written.
+    config = base_config(tmp_path / "out")
+    config["optimizers"] = [{"name": "modehb_nsga2"}]
+    config["stop"] = {"max_tae": 3}
+    assert cli.main(["run", str(write_config(tmp_path, config))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_failing_benchmark_exits_3_and_cleans_up(tmp_path, monkeypatch):
@@ -226,6 +236,9 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     broken_copy("no_archive", lambda out: (out / archive).unlink())
     broken_copy("bad_json", lambda out: (out / "summary.json").write_text("{", "utf-8"))
     broken_copy("no_key", lambda out: (out / "summary.json").write_text("{}", "utf-8"))
+    for name, row in (("bad_row", "3,4,oops"), ("short_row", "3,4")):
+        broken_copy(name, lambda out: (out / archive).write_text(
+            (out / archive).read_text("utf-8") + row + "\n", "utf-8"))
 
 
 # ------------------------------------------------------- python -m modehb

@@ -76,6 +76,15 @@ def test_nds_matches_bruteforce():
         m = int(rng.choice([2, 3]))
         pts = rng.uniform(size=(n, m))
         assert non_dominated_sort(pts) == nds_bf(pts)
+    # Integer lattices: ties in single objectives, exact duplicates, and
+    # (on the narrow lattices) long dominance chains through many fronts.
+    for _ in range(60):
+        n = int(rng.integers(1, 60))
+        m = int(rng.choice([2, 3]))
+        pts = rng.integers(0, int(rng.integers(1, 8)), size=(n, m)).astype(float)
+        assert non_dominated_sort(pts) == nds_bf(pts)
+    chain = np.tile(np.arange(20.0)[::-1, None], (2, 2))  # duplicated chain
+    assert non_dominated_sort(chain) == nds_bf(chain)
 
 
 def test_front_ranks_one_based():
