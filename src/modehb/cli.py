@@ -197,7 +197,7 @@ def read_archive_csv(path: Path, metadata: metrics.RunMetadata) -> metrics.RunTr
     records = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         n_obj = sum(1 for c in header if c.startswith("objective_"))
         for row in reader:
             records.append(
@@ -333,11 +333,14 @@ def _load_runs(out_dir: Path):
             stop_cause=None,
         )
         try:
-            runs[(name, seed)] = read_archive_csv(out_dir / archive, meta)
+            run = read_archive_csv(out_dir / archive, meta)
         except OSError as exc:
             raise _UsageError(f"{out_dir / archive}: {exc.strerror}") from exc
         except (ValueError, IndexError) as exc:
             raise _UsageError(f"{out_dir / archive}: malformed archive row ({exc})") from exc
+        if not run.records:
+            raise _UsageError(f"{out_dir / archive}: archive holds no evaluation records")
+        runs[(name, seed)] = run
     return opt_names, seeds, best, benchmark, runs
 
 

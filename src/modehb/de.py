@@ -117,10 +117,7 @@ def mo_selection(
         )
 
     fronts = non_dominated_sort(objectives)
-    rank = np.empty(n_rows, dtype=int)
-    for r, front in enumerate(fronts, start=1):
-        rank[front] = r
-
+    rank = {row: r for r, front in enumerate(fronts) for row in front}
     if rank[parent] > rank[offspring]:
         return parent
     if rank[parent] < rank[offspring]:

@@ -4,9 +4,18 @@ All functions treat objectives as minimized and operate on raw values;
 dominance and front membership are invariant under per-objective monotone
 rescaling, so callers only need to normalize before hypervolume
 computations (pass objectives scaled so the reference point is (1, 1)).
+
+Non-dominated sorting of two objectives is an O(n log n) sweep (Kung,
+Luccio & Preparata 1975; Jensen 2003): points are visited in
+lexicographic (f1, f2) order and each joins the first front whose last
+point does not dominate it, found by binary search over the fronts' last
+points.  Three or more objectives fall back to peeling fronts off an
+(n, n) domination matrix.  Both give the same fronts.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -50,20 +59,38 @@ def _domination_matrix(pts: np.ndarray) -> np.ndarray:
     return leq & lt
 
 
-def non_dominated_sort(points) -> list[list[int]]:
-    """Partition points into fronts F1 < F2 < ... of input indices.
+def _sweep_fronts(pts: np.ndarray) -> list[list[int]]:
+    """Two-objective fronts by the lexicographic sweep.
 
-    Within each front the input order is preserved.  Fronts are peeled
-    whole: a point joins the next front once every point dominating it
-    has been placed.
-
-    Raises:
-        EmptyPopulationError: If no points were given.
+    Within a front f2 never increases in sweep order, so the front's last
+    point (kept as an (f2, f1) tuple in ``tails``) dominates the visited
+    point iff it compares less; an exact duplicate compares equal and is
+    not dominated.  ``tails`` stays strictly increasing, so the point's
+    front is the first tail not less than it.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise EmptyPopulationError("cannot sort an empty population")
-    pts = _as_points(pts)
+    f1, f2 = pts.T.tolist()
+    tails: list[tuple[float, float]] = []
+    rank = [0] * len(pts)
+    for i in np.lexsort((pts[:, 1], pts[:, 0])).tolist():
+        key = (f2[i], f1[i])
+        k = bisect_left(tails, key)
+        if k == len(tails):
+            tails.append(key)
+        else:
+            tails[k] = key
+        rank[i] = k
+    fronts: list[list[int]] = [[] for _ in tails]
+    for i, k in enumerate(rank):
+        fronts[k].append(i)
+    return fronts
+
+
+def _peel_fronts(pts: np.ndarray) -> list[list[int]]:
+    """Fronts of any number of objectives, peeled whole.
+
+    A point joins the next front once every point dominating it has been
+    placed.
+    """
     dom = _domination_matrix(pts)
     counts = dom.sum(axis=0)
     fronts: list[list[int]] = []
@@ -74,6 +101,23 @@ def non_dominated_sort(points) -> list[list[int]]:
         counts -= dom[front].sum(axis=0)
         front = np.flatnonzero(counts == 0)
     return fronts
+
+
+def non_dominated_sort(points) -> list[list[int]]:
+    """Partition points into fronts F1 < F2 < ... of input indices.
+
+    Within each front the input order is preserved, and exact duplicates
+    share a front.  Two objectives take the O(n log n) sweep, more take
+    the domination-matrix peel (see the module docstring).
+
+    Raises:
+        EmptyPopulationError: If no points were given.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        raise EmptyPopulationError("cannot sort an empty population")
+    pts = _as_points(pts)
+    return _sweep_fronts(pts) if pts.shape[1] == 2 else _peel_fronts(pts)
 
 
 def front_ranks(points) -> np.ndarray:

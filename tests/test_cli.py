@@ -231,6 +231,7 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
         assert cli.main(["report", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     archive = "random_search_seed1_archive.csv"
     broken_copy("no_archive", lambda out: (out / archive).unlink())
@@ -239,6 +240,10 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     for name, row in (("bad_row", "3,4,oops"), ("short_row", "3,4")):
         broken_copy(name, lambda out: (out / archive).write_text(
             (out / archive).read_text("utf-8") + row + "\n", "utf-8"))
+    # An empty archive and one holding only its header name the file.
+    assert archive in broken_copy("empty", lambda out: (out / archive).write_text("", "utf-8"))
+    assert archive in broken_copy("header_only", lambda out: (out / archive).write_text(
+        (out / archive).read_text("utf-8").splitlines(keepends=True)[0], "utf-8"))
 
 
 # ------------------------------------------------------- python -m modehb

@@ -11,6 +11,8 @@ from modehb.de import (
     rand1_combine,
 )
 from modehb.errors import DimensionError, InsufficientParentsError, SelectionError
+from modehb.pareto import hv_contributions
+from oracles import nds_bf
 
 
 def test_de_params_validation():
@@ -219,3 +221,43 @@ def test_selection_validates_inputs():
         mo_selection(objectives, [1.0, 1.0], [1, 2], 0, 5, REF)
     with pytest.raises(SelectionError):
         mo_selection(objectives, [1.0], [1, 2], 0, 1, REF)
+
+
+def _reference_victim(objectives, owners, seqs, parent, offspring, ref):
+    # The documented rule, evaluated from the brute-force fronts.
+    fronts = nds_bf(objectives)
+    rank = np.empty(len(objectives), dtype=int)
+    for r, front in enumerate(fronts):
+        rank[front] = r
+    if rank[offspring] != rank[parent]:
+        return parent if rank[offspring] < rank[parent] else offspring
+    last = fronts[-1]
+    contrib = hv_contributions(objectives[last], ref)
+    owned = [
+        (contrib[j], seqs[row], row)
+        for j, row in enumerate(last)
+        if owners[row] == owners[parent]
+    ]
+    return min(owned)[2] if owned else parent
+
+
+def test_selection_matches_reference_on_lattice_populations():
+    # Integer lattices scaled past the (1, 1) reference give rank ties,
+    # exact duplicates and zero-contribution last fronts; two owner tags
+    # exercise the sub-population restriction and the parent fallback.
+    rng = np.random.default_rng(23)
+    ref = np.array([1.0, 1.0])
+    outcomes = {"parent": 0, "offspring": 0, "other": 0}
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        width = int(rng.integers(2, 7))
+        objectives = rng.integers(0, width, size=(n, 2)) / (width - 1) * 1.2
+        owners = rng.choice([1.0, 3.0], size=n)
+        seqs = rng.permutation(n) + 1
+        parent, offspring = (int(i) for i in rng.choice(n, size=2, replace=False))
+        owners[offspring] = owners[parent]
+        expected = _reference_victim(objectives, owners, seqs, parent, offspring, ref)
+        assert mo_selection(objectives, owners, seqs, parent, offspring, ref) == expected
+        key = {parent: "parent", offspring: "offspring"}.get(expected, "other")
+        outcomes[key] += 1
+    assert min(outcomes.values()) >= 20, outcomes

@@ -14,6 +14,7 @@ from modehb.errors import (
 )
 from modehb.pareto import (
     RANKING_STRATEGIES,
+    _peel_fronts,
     crowding_distance,
     dominates,
     epsnet_order,
@@ -85,6 +86,45 @@ def test_nds_matches_bruteforce():
         assert non_dominated_sort(pts) == nds_bf(pts)
     chain = np.tile(np.arange(20.0)[::-1, None], (2, 2))  # duplicated chain
     assert non_dominated_sort(chain) == nds_bf(chain)
+
+
+def _assert_both_paths(pts, oracle=True):
+    # The public sort takes the 2-D sweep; the domination-matrix peel that
+    # serves three or more objectives must agree on the same points.
+    fronts = non_dominated_sort(pts)
+    assert fronts == _peel_fronts(pts)
+    if oracle:
+        assert fronts == nds_bf(pts)
+
+
+def test_nds_two_objective_sweep_matches_peel_and_bruteforce():
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n = int(rng.integers(1, 301))
+        _assert_both_paths(rng.uniform(size=(n, 2)), oracle=n <= 60)
+        width = int(rng.integers(1, 12))
+        lattice = rng.integers(0, width, size=(n, 2)).astype(float)
+        _assert_both_paths(lattice, oracle=n <= 60)
+    for _ in range(20):
+        # Exact duplicates of points that share f1 with other points.
+        base = np.column_stack([
+            rng.integers(0, 3, size=12), rng.integers(0, 8, size=12)
+        ]).astype(float)
+        pts = base[rng.integers(0, 12, size=30)]
+        _assert_both_paths(pts)
+    column = np.column_stack([np.full(25, 0.5), rng.integers(0, 6, size=25)])
+    row = np.column_stack([rng.integers(0, 6, size=25), np.full(25, 0.5)])
+    for pts in (column, row):
+        _assert_both_paths(pts)
+        assert len(non_dominated_sort(pts)) == len(np.unique(pts, axis=0))
+    _assert_both_paths(np.array([[0.3, 0.7]]))
+
+
+def test_nds_two_objective_signed_zeros_are_duplicates():
+    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0],
+                    [-0.0, -0.0], [0.0, 0.0], [1.0, 1.0]])
+    _assert_both_paths(pts)
+    assert non_dominated_sort(pts) == [[4, 5], [0, 1, 2, 3], [6]]
 
 
 def test_front_ranks_one_based():
