@@ -1,21 +1,33 @@
 """Differential-evolution operators and multi-objective survivor selection.
 
 Genotypes live in [0, 1]^d throughout; mutants are clipped back into the
-box.  Selection follows the rank-then-hypervolume rule: the offspring
+box.  Selection follows the rank-then-hypervolume rule (NSGA-II ranking,
+Deb et al. 2002; SMS-EMOA tie-break, Beume et al. 2007): the offspring
 replaces its parent when it ranks strictly better in the joint
 non-dominated sort, is discarded when strictly worse, and on equal rank
 the least hypervolume contributor of the last front (restricted to the
 parent's own sub-population) is evicted instead.
+
+The decision sorts only what it compares, in this order:
+
+1. If one of parent and offspring dominates the other, it ranks strictly
+   better; no sort is needed.
+2. Otherwise only the rows dominating the parent or the offspring are
+   sorted, with those two.  A point's front index depends only on the
+   points that dominate it, so both ranks are exact.
+3. Only when the two ranks tie is the whole population sorted, because
+   the last front is then needed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InsufficientParentsError, SelectionError
-from .pareto import hv_contributions, non_dominated_sort
+from .pareto import _as_points, hv_contributions, non_dominated_sort
 
 
 @dataclass(frozen=True)
@@ -115,15 +127,28 @@ def mo_selection(
         raise SelectionError(
             "parent and offspring must be evaluated at the same fidelity"
         )
+    objectives = _as_points(objectives)
 
-    fronts = non_dominated_sort(objectives)
-    rank = {row: r for r, front in enumerate(fronts) for row in front}
-    if rank[parent] > rank[offspring]:
-        return parent
-    if rank[parent] < rank[offspring]:
-        return offspring
+    # Step 1 (see the module docstring): when exactly one of the two weakly
+    # dominates the other, it dominates it.
+    p, o = objectives[parent], objectives[offspring]
+    p_le_o = all(map(operator.le, p.tolist(), o.tolist()))
+    o_le_p = all(map(operator.le, o.tolist(), p.tolist()))
+    if p_le_o != o_le_p:
+        return offspring if p_le_o else parent
+    # Step 2: the rows weakly dominating either one (the two themselves and
+    # their duplicates included) are all that the two ranks depend on.
+    below = (objectives <= p).all(axis=1) | (objectives <= o).all(axis=1)
+    rows = np.flatnonzero(below).tolist()
+    p_at, o_at = rows.index(parent), rows.index(offspring)
+    for front in non_dominated_sort(objectives[below]):
+        if (p_at in front) != (o_at in front):
+            return offspring if p_at in front else parent
+        if p_at in front:
+            break
 
-    last = fronts[-1]
+    # Step 3: equal ranks; the last front needs the whole population.
+    last = non_dominated_sort(objectives)[-1]
     owned = [i for i in last if owners[i] == owners[parent]]
     if not owned:
         return parent

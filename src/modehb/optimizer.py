@@ -121,7 +121,9 @@ class OptimizerState:
 
     The global population is stored as parallel row arrays grouped by
     fidelity, cheapest first; ``rows[level]`` is the fixed block of rows
-    owned by that level's sub-population.  A row's seq is 0 (objectives
+    owned by that level's sub-population.  ``objectives``, ``owners`` and
+    ``seqs`` hold one spare last row for the offspring under selection,
+    and ``objectives`` are kept normalized.  A row's seq is 0 (objectives
     NaN) until its first evaluation.  ``seen`` holds the (configuration
     key, fidelity) pair of every evaluation so far.
     """
@@ -146,21 +148,22 @@ class OptimizerState:
     def capacities(self) -> dict[float, int]:
         return {level: len(rows) for level, rows in self.rows.items()}
 
-    def normalized(self, objectives) -> np.ndarray:
-        """Scale objectives so the declared bounds map to [0, 1].
+    def store(self, row: int, record: EvaluationRecord):
+        """Make the evaluated record the member held in ``row``; the spare
+        last row takes an offspring's fidelity as its owner, not its genotype.
 
-        Deliberately unclamped: dominance comparisons keep their full
+        Objectives are scaled so the declared bounds map to [0, 1],
+        deliberately unclamped: dominance comparisons keep their full
         signal outside the bounds box, and the hypervolume sweep already
         ignores points beyond the (1, 1) reference.
         """
-        return (np.asarray(objectives, dtype=float) - self.objective_mins) / (
+        if row < len(self.genotypes):
+            self.genotypes[row] = record.genotype
+        else:
+            self.owners[row] = record.fidelity
+        self.objectives[row] = (record.objectives - self.objective_mins) / (
             self.objective_ranges
         )
-
-    def store(self, row: int, record: EvaluationRecord):
-        """Make the evaluated record the member held in ``row``."""
-        self.genotypes[row] = record.genotype
-        self.objectives[row] = record.objectives
         self.seqs[row] = record.seq
 
     def evaluate(self, objective_fn, genotype, fidelity, stop) -> EvaluationRecord:
@@ -213,9 +216,9 @@ def initialize(
         objective_mins=mins,
         objective_ranges=ranges,
         genotypes=genotypes,
-        objectives=np.full((n_rows, len(mins)), np.nan),
-        owners=np.repeat(list(capacities), list(capacities.values())),
-        seqs=np.zeros(n_rows, dtype=int),
+        objectives=np.full((n_rows + 1, len(mins)), np.nan),
+        owners=np.repeat(list(capacities) + [np.nan], list(capacities.values()) + [1]),
+        seqs=np.zeros(n_rows + 1, dtype=int),
     )
 
 
@@ -279,19 +282,13 @@ def _mutation_pool(state: OptimizerState, fidelity: float) -> list[np.ndarray]:
 def _apply_selection(state: OptimizerState, row: int, record: EvaluationRecord):
     """Run survivor selection for the offspring of ``row``'s member.
 
-    The offspring is appended as the last row; unless it is the victim it
-    takes the victim's row, which always lies in the parent's slice.
+    The offspring is stored in the spare last row; unless it is the victim
+    it takes the victim's row, which always lies in the parent's slice.
     """
-    n_rows = len(state.seqs)
-    victim = mo_selection(
-        state.normalized(np.vstack([state.objectives, record.objectives])),
-        np.append(state.owners, record.fidelity),
-        np.append(state.seqs, record.seq),
-        row,
-        n_rows,
-        _REF,
-    )
-    if victim < n_rows:
+    spare = len(state.genotypes)
+    state.store(spare, record)
+    victim = mo_selection(state.objectives, state.owners, state.seqs, row, spare, _REF)
+    if victim < spare:
         state.store(victim, record)
 
 

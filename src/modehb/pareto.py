@@ -35,7 +35,7 @@ def _as_points(points) -> np.ndarray:
         raise DimensionError(f"expected a 2-D array of points, got shape {pts.shape}")
     if pts.shape[1] < 2:
         raise DimensionError("objective vectors need at least two components")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("objective values must be finite")
     return pts
 

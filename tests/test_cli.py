@@ -149,6 +149,84 @@ def test_run_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_DELETE = object()
+
+
+def _edited(out_dir: Path, keys: list, value) -> dict:
+    """base_config with the value under ``keys`` replaced (or deleted)."""
+    config = base_config(out_dir)
+    node = config
+    for key in keys[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return config
+
+
+# (JSON path named in the error, keys of the edited value, new value)
+REJECTED_CONFIGS = [
+    *[("$", [key], _DELETE) for key in ("benchmark", "optimizers", "ladder", "seeds", "output_dir")],
+    ("$.benchmark", ["benchmark", "name"], _DELETE),
+    ("$.optimizers[0]", ["optimizers", 0, "name"], _DELETE),
+    *[("$.ladder", ["ladder", key], _DELETE) for key in ("b_min", "b_max", "eta")],
+    ("$", ["extra"], 1),
+    ("$.optimizers[0]", ["optimizers", 0, "extra"], 1),
+    ("$.ladder", ["ladder", "extra"], 1),
+    ("$.stop", ["stop", "extra"], 1),
+    ("$.ladder.eta", ["ladder", "eta"], True),
+    ("$.seeds[0]", ["seeds"], [True]),
+    ("$.stop.max_tae", ["stop", "max_tae"], True),
+    ("$.ladder.b_min", ["ladder", "b_min"], True),
+    ("$.optimizers[0].scaling_factor", ["optimizers", 0, "scaling_factor"], True),
+    ("$.optimizers[0].crossover_prob", ["optimizers", 0, "crossover_prob"], True),
+    ("$.stop.max_wallclock", ["stop", "max_wallclock"], True),
+    ("$.ladder.eta", ["ladder", "eta"], 2.5),
+    ("$.seeds[1]", ["seeds"], [0, 0.5]),
+    ("$.ladder.b_max", ["ladder", "b_max"], None),
+    ("$.optimizers[0].scaling_factor", ["optimizers", 0, "scaling_factor"], None),
+    ("$.seeds", ["seeds"], [1, 1.0]),
+    ("$.optimizers[0].scaling_factor", ["optimizers", 0, "scaling_factor"], 0),
+    ("$.stop.max_tae", ["stop", "max_tae"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "path, keys, value",
+    REJECTED_CONFIGS,
+    ids=[f"{'.'.join(map(str, k))}={'del' if v is _DELETE else v!r}" for _, k, v in REJECTED_CONFIGS],
+)
+def test_config_rules_reject(tmp_path, capsys, path, keys, value):
+    config = _edited(tmp_path / "out", keys, value)
+    assert cli.main(["run", str(write_config(tmp_path, config))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f": {path}: " in err, err
+    assert not (tmp_path / "out").exists()
+
+
+ACCEPTED_CONFIGS = [
+    (["ladder", "eta"], 2.0),
+    (["seeds"], [1.0]),
+    (["stop", "max_tae"], None),
+    (["stop", "max_wallclock"], None),
+    (["benchmark", "any_key"], "passed on to the benchmark"),
+    (["optimizers", 0, "scaling_factor"], 2),
+    (["optimizers", 0, "crossover_prob"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    ACCEPTED_CONFIGS,
+    ids=[f"{'.'.join(map(str, k))}={v!r}" for k, v in ACCEPTED_CONFIGS],
+)
+def test_config_rules_accept(tmp_path, keys, value):
+    config = _edited(tmp_path / "out", keys, value)
+    assert cli._load_config(str(write_config(tmp_path, config))) == config
+
+
 def test_failing_benchmark_exits_3_and_cleans_up(tmp_path, monkeypatch):
     def exploding(ladder, **params):
         bm = bench.toy_grid(4, ladder)
@@ -268,6 +346,16 @@ def test_import_does_not_load_scipy():
     proc = _python("-c", "import sys, modehb; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_does_not_load_jsonschema_or_process_pools():
+    proc = _python(
+        "-c",
+        "import sys, modehb; "
+        "print([m in sys.modules for m in ('jsonschema', 'concurrent.futures.process')])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False]"
 
 
 # -------------------------------------------------------------- round trip

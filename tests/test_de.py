@@ -1,8 +1,11 @@
 """Tests for the differential-evolution operators and survivor selection."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from modehb import de
 from modehb.de import (
     DEParams,
     crossover_binomial,
@@ -10,7 +13,12 @@ from modehb.de import (
     mutate_rand1,
     rand1_combine,
 )
-from modehb.errors import DimensionError, InsufficientParentsError, SelectionError
+from modehb.errors import (
+    DimensionError,
+    InsufficientParentsError,
+    SelectionError,
+    UnsupportedDimensionError,
+)
 from modehb.pareto import hv_contributions
 from oracles import nds_bf
 
@@ -241,23 +249,78 @@ def _reference_victim(objectives, owners, seqs, parent, offspring, ref):
     return min(owned)[2] if owned else parent
 
 
-def test_selection_matches_reference_on_lattice_populations():
+def _lattice_case(rng, n_obj=2):
     # Integer lattices scaled past the (1, 1) reference give rank ties,
     # exact duplicates and zero-contribution last fronts; two owner tags
     # exercise the sub-population restriction and the parent fallback.
+    n = int(rng.integers(3, 40))
+    width = int(rng.integers(2, 7))
+    objectives = rng.integers(0, width, size=(n, n_obj)) / (width - 1) * 1.2
+    owners = rng.choice([1.0, 3.0], size=n)
+    seqs = rng.permutation(n) + 1
+    parent, offspring = (int(i) for i in rng.choice(n, size=2, replace=False))
+    owners[offspring] = owners[parent]
+    return objectives, owners, seqs, parent, offspring
+
+
+def _three_objectives(rng):
+    # One owner tag, so a tie always reaches the 2-D-only contributions.
+    objectives, owners, seqs, parent, offspring = _lattice_case(rng, n_obj=3)
+    return objectives, np.ones_like(owners), seqs, parent, offspring
+
+
+def _duplicate_pair(rng):
+    objectives, owners, seqs, parent, offspring = _lattice_case(rng)
+    objectives[offspring] = objectives[parent]
+    return objectives, owners, seqs, parent, offspring
+
+
+def _dominating_pair(rng):
+    objectives, owners, seqs, parent, offspring = _lattice_case(rng)
+    step = rng.permutation([0.3, rng.choice([0.0, 0.3])])
+    better, worse = (parent, offspring) if rng.random() < 0.5 else (offspring, parent)
+    objectives[worse] = objectives[better] + step
+    return objectives, owners, seqs, parent, offspring
+
+
+def _outcome(select, *args):
+    try:
+        return select(*args)
+    except UnsupportedDimensionError:  # exact hypervolume is 2-D only
+        return "unsupported"
+
+
+def test_selection_matches_reference_on_lattice_populations(monkeypatch):
+    # The decision path is the number of sorts: 0 when one of the pair
+    # dominates the other, 1 when the rows below the pair settle the ranks,
+    # 2 when they tie and the whole population is sorted.
+    sorts = []
+    real_sort = de.non_dominated_sort
+    monkeypatch.setattr(
+        de, "non_dominated_sort", lambda pts: sorts.append(len(pts)) or real_sort(pts)
+    )
     rng = np.random.default_rng(23)
     ref = np.array([1.0, 1.0])
     outcomes = {"parent": 0, "offspring": 0, "other": 0}
-    for _ in range(300):
-        n = int(rng.integers(3, 40))
-        width = int(rng.integers(2, 7))
-        objectives = rng.integers(0, width, size=(n, 2)) / (width - 1) * 1.2
-        owners = rng.choice([1.0, 3.0], size=n)
-        seqs = rng.permutation(n) + 1
-        parent, offspring = (int(i) for i in rng.choice(n, size=2, replace=False))
-        owners[offspring] = owners[parent]
-        expected = _reference_victim(objectives, owners, seqs, parent, offspring, ref)
-        assert mo_selection(objectives, owners, seqs, parent, offspring, ref) == expected
-        key = {parent: "parent", offspring: "offspring"}.get(expected, "other")
-        outcomes[key] += 1
+    paths = {kind: Counter() for kind in ("2d", "3d", "duplicate", "dominating")}
+    cases = (
+        [("2d", _lattice_case(rng)) for _ in range(300)]
+        + [("3d", _three_objectives(rng)) for _ in range(100)]
+        + [("duplicate", _duplicate_pair(rng)) for _ in range(60)]
+        + [("dominating", _dominating_pair(rng)) for _ in range(60)]
+    )
+    for kind, (objectives, owners, seqs, parent, offspring) in cases:
+        args = (objectives, owners, seqs, parent, offspring, ref)
+        expected = _outcome(_reference_victim, *args)
+        sorts.clear()
+        assert _outcome(mo_selection, *args) == expected
+        paths[kind][len(sorts)] += 1
+        if sorts[1:]:
+            assert sorts[1] == len(objectives)
+        if expected != "unsupported":
+            key = {parent: "parent", offspring: "offspring"}.get(expected, "other")
+            outcomes[key] += 1
     assert min(outcomes.values()) >= 20, outcomes
+    assert paths["dominating"] == {0: 60} and paths["duplicate"] == {2: 60}, paths
+    assert paths["3d"][1] > 0, paths
+    assert min(sum(paths.values(), Counter()).values()) >= 20, paths
