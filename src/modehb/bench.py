@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BenchmarkError, DimensionError, OracleError
+from .metrics import REF, normalize
 from .pareto import hypervolume, non_dominated_sort
 from .scheduler import FidelityLadder
 from .space import ParameterSpec, SearchSpace
@@ -35,9 +36,10 @@ class Benchmark:
 
     ``evaluate(genotype, fidelity)`` returns ``(objectives, cost_seconds)``
     and is deterministic.  ``true_hv`` is the hypervolume of the true
-    full-fidelity front after normalization by ``objective_bounds`` with
-    reference point (1, 1); ``front`` holds the exact front for enumerable
-    problems and ``front_curve(n)`` samples continuous fronts densely.
+    full-fidelity front after ``metrics.normalize`` by ``objective_bounds``,
+    with reference point ``metrics.REF``; ``front`` holds the exact front
+    for enumerable problems and ``front_curve(n)`` samples continuous
+    fronts densely.
     """
 
     name: str
@@ -141,14 +143,13 @@ def toy_grid(k: int, ladder: FidelityLadder, bias: float = 0.5) -> Benchmark:
     cells = np.array([cell_objectives(i, j) for i in range(k) for j in range(k)])
     front = cells[non_dominated_sort(cells)[0]]
     bounds = ((0.0, 1.5), (0.0, 1.5))
-    normalized = front / np.array([1.5, 1.5])
     return Benchmark(
         name="toy_grid",
         space=space,
         ladder=ladder,
         objective_bounds=bounds,
         evaluate=evaluate,
-        true_hv=hypervolume(normalized, np.array([1.0, 1.0])),
+        true_hv=hypervolume(normalize(front, bounds), REF),
         front=front,
     )
 

@@ -1,7 +1,7 @@
 """Command-line interface: run experiments, report metrics, query oracles.
 
 Exit codes: 0 success, 2 usage/configuration errors (nothing written),
-3 runtime evaluation failure (partial outputs removed).
+3 runtime evaluation failure (nothing written).
 """
 
 from __future__ import annotations
@@ -107,6 +107,8 @@ def _load_config(path: str) -> dict:
     names = [o["name"] for o in config["optimizers"]]
     if len(set(names)) != len(names):
         raise _UsageError(f"{path}: $.optimizers: duplicate optimizer names")
+    # The rules accept 1.0 as an integer; seeds name files and seed RNGs.
+    config["seeds"] = [int(seed) for seed in config["seeds"]]
     return config
 
 
@@ -190,20 +192,24 @@ def write_archive_csv(path: Path, run: metrics.RunTrajectory):
 
 
 def read_archive_csv(path: Path, metadata: metrics.RunMetadata) -> metrics.RunTrajectory:
-    """Inverse of write_archive_csv."""
+    """Inverse of write_archive_csv.  A non-finite value raises ValueError:
+    ``run`` never writes one, so the archive is malformed."""
     records = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         n_obj = sum(1 for c in header if c.startswith("objective_"))
         for row in reader:
+            values = [float(v) for v in row[1:]]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"non-finite value in row {row[0]}")
             records.append(
                 optimizer.EvaluationRecord(
                     seq=int(row[0]),
-                    fidelity=float(row[1]),
-                    cost=float(row[2]),
-                    objectives=np.array([float(v) for v in row[4 : 4 + n_obj]]),
-                    genotype=np.array([float(v) for v in row[4 + n_obj :]]),
+                    fidelity=values[0],
+                    cost=values[1],
+                    objectives=np.array(values[3 : 3 + n_obj]),
+                    genotype=np.array(values[3 + n_obj :]),
                 )
             )
     return metrics.RunTrajectory(records=tuple(records), metadata=metadata)
@@ -221,9 +227,6 @@ def cmd_run(config_path: str, workers: int = 1) -> int:
         for opt_entry in config["optimizers"]
         for seed in config["seeds"]
     ]
-    out_dir = Path(config["output_dir"])
-    created_dir = not out_dir.exists()
-    created_files: list[Path] = []
     try:
         if workers > 1:
             # Imported here: it adds ~16 ms to every command that needs no pool.
@@ -233,75 +236,67 @@ def cmd_run(config_path: str, workers: int = 1) -> int:
                 results = list(pool.map(_execute_run, repeat(config), *zip(*jobs)))
         else:
             results = [_execute_run(config, o, s) for o, s in jobs]
-
-        bounds = benchmark.objective_bounds
-        try:
-            best = metrics.empirical_best_hv(results, bounds)
-        except EmptyPopulationError as exc:
-            raise _UsageError(f"{config_path}: {exc}; raise stop.max_tae") from exc
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trajectories = dict(zip([(o["name"], s) for o, s in jobs], results))
-        summary: dict = {
-            "config": resolved,
-            "empirical_best_hv": best,
-            "optimizers": {},
-            "runs": [],
-        }
-        for opt_entry in config["optimizers"]:
-            name = opt_entry["name"]
-            per_seed = {}
-            for seed in config["seeds"]:
-                run = trajectories[(name, seed)]
-                archive_name, metrics_name = _run_filenames(name, seed)
-                archive_path = out_dir / archive_name
-                write_archive_csv(archive_path, run)
-                created_files.append(archive_path)
-                series = metrics.hv_trajectory(run, bounds)
-                final_hv = float(series.hv[-1]) if len(series.hv) else 0.0
-                diff = metrics.log_hv_diff(final_hv, best)
-                run_info = {
-                    "optimizer": name,
-                    "seed": seed,
-                    "benchmark": benchmark.name,
-                    "ladder": dict(config["ladder"]),
-                    "stop_cause": run.metadata.stop_cause,
-                    "tae": len(run.records),
-                    "cumulative_cost": float(series.cumulative_cost[-1])
-                    if len(run.records)
-                    else 0.0,
-                    "final_hv": final_hv,
-                    "final_log_hv_diff": diff,
-                }
-                metrics_path = out_dir / metrics_name
-                metrics_path.write_text(
-                    json.dumps(run_info, indent=2) + "\n", encoding="utf-8"
-                )
-                created_files.append(metrics_path)
-                per_seed[str(seed)] = {"final_hv": final_hv, "log_hv_diff": diff}
-                summary["runs"].append(
-                    {
-                        "optimizer": name,
-                        "seed": seed,
-                        "archive": archive_name,
-                        "metrics": metrics_name,
-                    }
-                )
-            diffs = [v["log_hv_diff"] for v in per_seed.values()]
-            summary["optimizers"][name] = {
-                "log_hv_diff_mean": float(np.mean(diffs)),
-                "log_hv_diff_std": float(np.std(diffs)),
-                "per_seed": per_seed,
-            }
-        summary_path = out_dir / "summary.json"
-        summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-        created_files.append(summary_path)
     except EvaluationError as exc:
-        for path in created_files:
-            path.unlink(missing_ok=True)
-        if created_dir and out_dir.exists() and not any(out_dir.iterdir()):
-            out_dir.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 3
+
+    bounds = benchmark.objective_bounds
+    try:
+        best = metrics.empirical_best_hv(results, bounds)
+    except EmptyPopulationError as exc:
+        raise _UsageError(f"{config_path}: {exc}; raise stop.max_tae") from exc
+    out_dir = Path(config["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    trajectories = dict(zip([(o["name"], s) for o, s in jobs], results))
+    summary: dict = {
+        "config": resolved,
+        "empirical_best_hv": best,
+        "optimizers": {},
+        "runs": [],
+    }
+    for opt_entry in config["optimizers"]:
+        name = opt_entry["name"]
+        per_seed = {}
+        for seed in config["seeds"]:
+            run = trajectories[(name, seed)]
+            archive_name, metrics_name = _run_filenames(name, seed)
+            write_archive_csv(out_dir / archive_name, run)
+            series = metrics.hv_trajectory(run, bounds)
+            final_hv = float(series.hv[-1]) if len(series.hv) else 0.0
+            diff = metrics.log_hv_diff(final_hv, best)
+            run_info = {
+                "optimizer": name,
+                "seed": seed,
+                "benchmark": benchmark.name,
+                "ladder": dict(config["ladder"]),
+                "stop_cause": run.metadata.stop_cause,
+                "tae": len(run.records),
+                "cumulative_cost": float(series.cumulative_cost[-1])
+                if len(run.records)
+                else 0.0,
+                "final_hv": final_hv,
+                "final_log_hv_diff": diff,
+            }
+            (out_dir / metrics_name).write_text(
+                json.dumps(run_info, indent=2) + "\n", encoding="utf-8"
+            )
+            per_seed[str(seed)] = {"final_hv": final_hv, "log_hv_diff": diff}
+            summary["runs"].append(
+                {
+                    "optimizer": name,
+                    "seed": seed,
+                    "archive": archive_name,
+                    "metrics": metrics_name,
+                }
+            )
+        diffs = [v["log_hv_diff"] for v in per_seed.values()]
+        summary["optimizers"][name] = {
+            "log_hv_diff_mean": float(np.mean(diffs)),
+            "log_hv_diff_std": float(np.std(diffs)),
+            "per_seed": per_seed,
+        }
+    summary_path = out_dir / "summary.json"
+    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
@@ -458,7 +453,7 @@ def cmd_bench_oracle(
         dense = benchmark.front_curve(samples)
         sampled = hypervolume(
             metrics.normalize(dense, benchmark.objective_bounds),
-            np.array([1.0, 1.0]),
+            metrics.REF,
         )
         print(f"sampled_front_hv: {_fmt(sampled)} ({samples} points)")
         print(f"abs_error: {_fmt(abs(sampled - true_hv))}")

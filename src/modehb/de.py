@@ -97,8 +97,8 @@ def mo_selection(
 
     Args:
         objectives: (N, n) objective rows of the global population with the
-            offspring already included provisionally; scaled so that ref is
-            the hypervolume reference point.
+            offspring already included provisionally, in the same space
+            as ref.
         owners: Sub-population tag per row (the fidelity owning the member).
         seqs: Evaluation sequence number per row.
         parent: Row index of the parent (the DE target).

@@ -2,8 +2,9 @@
 
 Front approximations use full-fidelity evaluations only: a record
 contributes to hypervolume and attainment computations iff its fidelity
-equals the ladder's b_max.  All hypervolumes are computed in normalized
-objective space with reference point (1, 1).
+equals the ladder's b_max.  ``normalize`` is the package's one objective
+scaling: every hypervolume here is computed in normalized objective space
+with reference point ``REF``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ if TYPE_CHECKING:
     from .optimizer import EvaluationRecord
 
 LOG_HV_DIFF_FLOOR = 1e-12
+
+# Reference point of normalized objective space: the bounds' upper corner.
+REF = np.array([1.0, 1.0])
+REF.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,6 @@ def hv_trajectory(run: RunTrajectory, bounds) -> HVSeries:
     """
     b_max = run.metadata.ladder.b_max
     points = iter(_bmax_points(run, bounds))
-    ref = np.array([1.0, 1.0])
     costs = np.empty(len(run.records))
     taes = np.empty(len(run.records), dtype=int)
     hvs = np.empty(len(run.records))
@@ -111,7 +115,7 @@ def hv_trajectory(run: RunTrajectory, bounds) -> HVSeries:
             if not np.all(staircase <= point, axis=1).any():
                 kept = staircase[~np.all(point <= staircase, axis=1)]
                 staircase = np.vstack([kept, point])
-                hv = hypervolume(staircase, ref)
+                hv = hypervolume(staircase, REF)
         costs[i] = cumulative
         taes[i] = i + 1
         hvs[i] = hv
@@ -132,7 +136,7 @@ def empirical_best_hv(runs, bounds) -> float:
     points = [_bmax_points(run, bounds) for run in runs]
     if not any(len(p) for p in points):
         raise EmptyPopulationError("no full-fidelity records in any run")
-    return hypervolume(np.vstack(points), np.array([1.0, 1.0]))
+    return hypervolume(np.vstack(points), REF)
 
 
 def final_front(run: RunTrajectory, bounds) -> np.ndarray:

@@ -48,8 +48,6 @@ VARIANTS = {"nsga2": "crowding", "epsnet": "epsnet"}
 # (tag, run seed), so adding a consumer never perturbs the others.
 _STREAMS = {"optimizer": 1, "benchmark": 2}
 
-_REF = np.array([1.0, 1.0])
-
 # DE draws, then uniform draws, per slot before a repeat is evaluated anyway.
 MAX_DRAWS = 3
 
@@ -122,10 +120,12 @@ class OptimizerState:
     The global population is stored as parallel row arrays grouped by
     fidelity, cheapest first; ``rows[level]`` is the fixed block of rows
     owned by that level's sub-population.  ``objectives``, ``owners`` and
-    ``seqs`` hold one spare last row for the offspring under selection,
-    and ``objectives`` are kept normalized.  A row's seq is 0 (objectives
-    NaN) until its first evaluation.  ``seen`` holds the (configuration
-    key, fidelity) pair of every evaluation so far.
+    ``seqs`` hold one spare last row for the offspring under selection.
+    ``objectives`` are the raw values of the archive records; ``ref``, the
+    upper corner of the declared objective bounds, is the hypervolume
+    reference point in that same space.  A row's seq is 0 (objectives NaN)
+    until its first evaluation.  ``seen`` holds the (configuration key,
+    fidelity) pair of every evaluation so far.
     """
 
     space: SearchSpace
@@ -134,13 +134,12 @@ class OptimizerState:
     de_params: DEParams
     rng: np.random.Generator
     rows: dict[float, range]
-    objective_mins: np.ndarray
-    objective_ranges: np.ndarray
+    ref: np.ndarray
     genotypes: np.ndarray
     objectives: np.ndarray
     owners: np.ndarray
     seqs: np.ndarray
-    parent_pool: dict[float, list[np.ndarray]] = field(default_factory=dict)
+    parent_pool: dict[float, np.ndarray] = field(default_factory=dict)
     archive: _Archive = field(default_factory=_Archive)
     seen: set[tuple] = field(default_factory=set)
 
@@ -151,19 +150,12 @@ class OptimizerState:
     def store(self, row: int, record: EvaluationRecord):
         """Make the evaluated record the member held in ``row``; the spare
         last row takes an offspring's fidelity as its owner, not its genotype.
-
-        Objectives are scaled so the declared bounds map to [0, 1],
-        deliberately unclamped: dominance comparisons keep their full
-        signal outside the bounds box, and the hypervolume sweep already
-        ignores points beyond the (1, 1) reference.
         """
         if row < len(self.genotypes):
             self.genotypes[row] = record.genotype
         else:
             self.owners[row] = record.fidelity
-        self.objectives[row] = (record.objectives - self.objective_mins) / (
-            self.objective_ranges
-        )
+        self.objectives[row] = record.objectives
         self.seqs[row] = record.seq
 
     def evaluate(self, objective_fn, genotype, fidelity, stop) -> EvaluationRecord:
@@ -171,10 +163,6 @@ class OptimizerState:
         record = _evaluate(self.archive, objective_fn, genotype, fidelity, stop)
         self.seen.add((config_key(self.space, genotype), record.fidelity))
         return record
-
-    def members(self, level: float) -> list[EvaluationRecord]:
-        """Records of the sub-population at ``level``, in row order."""
-        return [self.archive.records[s - 1] for s in self.seqs[self.rows[level]]]
 
 
 def initialize(
@@ -192,9 +180,8 @@ def initialize(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected {sorted(VARIANTS)}")
-    mins = np.array([b[0] for b in objective_bounds], dtype=float)
-    ranges = np.array([b[1] - b[0] for b in objective_bounds], dtype=float)
-    if np.any(ranges <= 0):
+    lo, hi = np.array(objective_bounds, dtype=float).T
+    if np.any(hi <= lo):
         raise NormalizationError(f"degenerate objective bounds {objective_bounds}")
     rng = derive_rng(seed, "optimizer")
     capacities = dict(dehb_iteration_plan(ladder)[0].rungs)
@@ -213,20 +200,18 @@ def initialize(
         de_params=de_params or DEParams(),
         rng=rng,
         rows=rows,
-        objective_mins=mins,
-        objective_ranges=ranges,
+        ref=hi,
         genotypes=genotypes,
-        objectives=np.full((n_rows + 1, len(mins)), np.nan),
+        objectives=np.full((n_rows + 1, len(hi)), np.nan),
         owners=np.repeat(list(capacities) + [np.nan], list(capacities.values()) + [1]),
         seqs=np.zeros(n_rows + 1, dtype=int),
     )
 
 
-def promote(records, k: int, variant: str) -> list[np.ndarray]:
-    """Genotypes of the top-k records by front rank + variant ordering."""
-    objectives = np.array([rec.objectives for rec in records])
-    chosen = rank_and_truncate(objectives, k, VARIANTS[variant])
-    return [records[i].genotype for i in chosen]
+def promote(objectives, genotypes, k: int, variant: str) -> np.ndarray:
+    """Copies of the genotypes of the top-k rows by front rank + variant
+    ordering, in selection order."""
+    return genotypes[rank_and_truncate(objectives, k, VARIANTS[variant])]
 
 
 def _evaluate(
@@ -287,7 +272,9 @@ def _apply_selection(state: OptimizerState, row: int, record: EvaluationRecord):
     """
     spare = len(state.genotypes)
     state.store(spare, record)
-    victim = mo_selection(state.objectives, state.owners, state.seqs, row, spare, _REF)
+    victim = mo_selection(
+        state.objectives, state.owners, state.seqs, row, spare, state.ref
+    )
     if victim < spare:
         state.store(victim, record)
 
@@ -332,6 +319,14 @@ def evolve_rung(
         _apply_selection(state, row, record)
 
 
+def _promote_level(state: OptimizerState, level: float, k: int) -> np.ndarray:
+    """Promote up to k members of the sub-population at ``level``."""
+    rows = state.rows[level]
+    return promote(
+        state.objectives[rows], state.genotypes[rows], min(k, len(rows)), state.variant
+    )
+
+
 def _vanilla_bracket(state: OptimizerState, bracket: BracketPlan, objective_fn, stop):
     """First bracket: evaluate the random init, promote, fill upwards."""
     b_min, _ = bracket.rungs[0]
@@ -339,9 +334,8 @@ def _vanilla_bracket(state: OptimizerState, bracket: BracketPlan, objective_fn, 
         genotype = state.genotypes[row]
         state.store(row, state.evaluate(objective_fn, genotype, b_min, stop))
     for (level, _), (nxt, n_nxt) in zip(bracket.rungs, bracket.rungs[1:]):
-        genotypes = promote(state.members(level), n_nxt, state.variant)
-        state.parent_pool[nxt] = list(genotypes)
-        for row, g in zip(state.rows[nxt], genotypes):
+        state.parent_pool[nxt] = _promote_level(state, level, n_nxt)
+        for row, g in zip(state.rows[nxt], state.parent_pool[nxt]):
             state.store(row, state.evaluate(objective_fn, g, nxt, stop))
 
 
@@ -350,10 +344,7 @@ def _de_bracket(state: OptimizerState, bracket: BracketPlan, objective_fn, stop)
         evolve_rung(state, level, objective_fn, stop, n_configs)
         if i + 1 < len(bracket.rungs):
             nxt, n_nxt = bracket.rungs[i + 1]
-            records = state.members(level)
-            state.parent_pool[nxt] = promote(
-                records, min(n_nxt, len(records)), state.variant
-            )
+            state.parent_pool[nxt] = _promote_level(state, level, n_nxt)
 
 
 def _trajectory(
@@ -392,8 +383,9 @@ def run(
     """One full optimization run; returns the seq-ordered archive.
 
     ``objective_fn(genotype, fidelity) -> (objectives, cost_seconds)`` is
-    evaluated at ladder fidelities only.  The declared objective bounds
-    feed the in-loop normalized hypervolume (reference point (1, 1)).
+    evaluated at ladder fidelities only.  Survivor selection compares raw
+    objectives; the upper corner of the declared objective bounds is the
+    reference point of its hypervolume tie-break.
     """
     state = initialize(space, ladder, seed, variant, de_params, objective_bounds)
     plan = dehb_iteration_plan(ladder)

@@ -2,8 +2,9 @@
 
 All functions treat objectives as minimized and operate on raw values;
 dominance and front membership are invariant under per-objective monotone
-rescaling, so callers only need to normalize before hypervolume
-computations (pass objectives scaled so the reference point is (1, 1)).
+rescaling.  Hypervolume needs only the reference point in the same space
+as the points: scaling each objective by a positive factor scales every
+hypervolume and contribution by their product.
 
 Non-dominated sorting of two objectives is an O(n log n) sweep (Kung,
 Luccio & Preparata 1975; Jensen 2003): points are visited in

@@ -82,19 +82,14 @@ def encode_sample(space: SearchSpace, rng: np.random.Generator) -> np.ndarray:
 
 
 def _decode_one(spec: ParameterSpec, c: float):
-    if spec.kind == "continuous":
+    if spec.kind in ("continuous", "integer"):
         if spec.log:
-            return math.exp(
-                math.log(spec.lower) + c * (math.log(spec.upper) - math.log(spec.lower))
-            )
-        return spec.lower + c * (spec.upper - spec.lower)
-    if spec.kind == "integer":
-        if spec.log:
-            raw = math.exp(
-                math.log(spec.lower) + c * (math.log(spec.upper) - math.log(spec.lower))
-            )
+            lo, hi = math.log(spec.lower), math.log(spec.upper)
+            raw = math.exp(lo + c * (hi - lo))
         else:
             raw = spec.lower + c * (spec.upper - spec.lower)
+        if spec.kind == "continuous":
+            return raw
         # Round half up so decoding is a monotone step function of c.
         value = int(math.floor(raw + 0.5))
         return min(max(value, int(spec.lower)), int(spec.upper))

@@ -227,7 +227,8 @@ def test_config_rules_accept(tmp_path, keys, value):
     assert cli._load_config(str(write_config(tmp_path, config))) == config
 
 
-def test_failing_benchmark_exits_3_and_cleans_up(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_benchmark_exits_3_and_cleans_up(tmp_path, monkeypatch, workers):
     def exploding(ladder, **params):
         bm = bench.toy_grid(4, ladder)
 
@@ -248,8 +249,18 @@ def test_failing_benchmark_exits_3_and_cleans_up(tmp_path, monkeypatch):
     config["benchmark"] = {"name": "exploding"}
     config["optimizers"] = [{"name": "modehb_nsga2"}]
     cfg = write_config(tmp_path, config)
-    assert cli.main(["run", str(cfg)]) == 3
+    assert cli.main(["run", str(cfg), "--workers", str(workers)]) == 3
     assert not out.exists()
+
+
+def test_integral_float_seeds_and_eta_run(tmp_path):
+    # The rules accept 1.0 as an integer; it seeds the run and names its files as 1.
+    out = tmp_path / "out"
+    config = base_config(out)
+    config["seeds"] = [1.0]
+    config["ladder"]["eta"] = 2.0
+    assert cli.main(["run", str(write_config(tmp_path, config))]) == 0
+    assert (out / "random_search_seed1_archive.csv").exists()
 
 
 # ------------------------------------------------------------- cmd report
@@ -322,6 +333,22 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     assert archive in broken_copy("empty", lambda out: (out / archive).write_text("", "utf-8"))
     assert archive in broken_copy("header_only", lambda out: (out / archive).write_text(
         (out / archive).read_text("utf-8").splitlines(keepends=True)[0], "utf-8"))
+
+    # `run` never writes a non-finite value, so one marks a malformed archive,
+    # whether or not the row is at b_max.
+    def first_objective(name, value, fidelity):
+        def break_it(out):
+            with (out / name).open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[1][1] == fidelity
+            rows[1][4] = value
+            with (out / name).open("w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        return break_it
+
+    assert archive in broken_copy("nan_b_max", first_objective(archive, "nan", "4"))
+    low = "modehb_nsga2_seed0_archive.csv"
+    assert low in broken_copy("inf_b_min", first_objective(low, "inf", "1"))
 
 
 # ------------------------------------------------------- python -m modehb

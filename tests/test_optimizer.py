@@ -10,6 +10,7 @@ from modehb.errors import EvaluationError, NormalizationError
 from modehb.optimizer import (
     EvaluationRecord,
     StoppingCriteria,
+    _vanilla_bracket,
     derive_rng,
     evolve_rung,
     initialize,
@@ -18,7 +19,7 @@ from modehb.optimizer import (
     run_random_search,
     tae_budget,
 )
-from modehb.scheduler import build_ladder
+from modehb.scheduler import build_ladder, dehb_iteration_plan
 from modehb.space import decode
 
 LADDER = build_ladder(1, 9, 3)
@@ -128,13 +129,26 @@ def test_promote_selects_top_ranked_genotypes():
         _record(3, (0.5, 0.5)),
         _record(4, (0.6, 0.6)),
     ]
+    objectives = np.array([rec.objectives for rec in records])
+    genotypes = np.array([rec.genotype for rec in records])
     for variant in ("nsga2", "epsnet"):
-        top1 = promote(records, 1, variant)
+        top1 = promote(objectives, genotypes, 1, variant)
         assert len(top1) == 1
         assert np.array_equal(top1[0], records[0].genotype)
-        top3 = {tuple(g) for g in promote(records, 3, variant)}
+        top3 = {tuple(g) for g in promote(objectives, genotypes, 3, variant)}
         assert top3 == {(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)}
-        assert len(promote(records, 4, variant)) == 4
+        assert len(promote(objectives, genotypes, 4, variant)) == 4
+
+
+def test_parent_pool_keeps_promoted_genotypes_when_rows_change():
+    state = initialize(BENCH.space, LADDER, seed=0, variant="nsga2")
+    opening = dehb_iteration_plan(LADDER)[0]
+    _vanilla_bracket(state, opening, BENCH.evaluate, StoppingCriteria(max_tae=100))
+    assert set(state.parent_pool) == {3.0, 9.0}
+    before = {level: np.array(pool) for level, pool in state.parent_pool.items()}
+    state.genotypes[:] = -1.0
+    for level, pool in state.parent_pool.items():
+        assert np.array_equal(pool, before[level])
 
 
 # ------------------------------------------------------------------- runs
@@ -236,6 +250,27 @@ def test_evaluation_failures_are_wrapped():
             StoppingCriteria(max_tae=5), 0,
             objective_bounds=BENCH.objective_bounds,
         )
+
+
+def test_run_is_invariant_to_scaling_objectives_and_bounds():
+    # Scaling by 4 is exact in binary floating point; dominance, crowding,
+    # epsilon-net order and the order of hypervolume contributions (with the
+    # reference point scaled too) are then unchanged, and so is the run.
+    def scaled(genotype, fidelity):
+        objectives, cost = BENCH.evaluate(genotype, fidelity)
+        return 4.0 * objectives, cost
+
+    bounds = tuple((4.0 * lo, 4.0 * hi) for lo, hi in BENCH.objective_bounds)
+    for variant in ("nsga2", "epsnet"):
+        plain = small_run(variant, max_tae=250)
+        big = run(
+            BENCH.space, LADDER, variant, scaled, StoppingCriteria(max_tae=250), 0,
+            objective_bounds=bounds,
+        )
+        for rp, rb in zip(plain.records, big.records, strict=True):
+            assert np.array_equal(rp.genotype, rb.genotype)
+            assert rp.fidelity == rb.fidelity
+            assert np.array_equal(4.0 * rp.objectives, rb.objectives)
 
 
 def test_run_keeps_going_for_multiple_iterations():

@@ -57,6 +57,15 @@ def test_integer_rounds_half_up():
     assert values == sorted(values)
 
 
+def test_log_integer_decodes_on_the_log_scale():
+    space = SearchSpace((ParameterSpec("n", "integer", lower=1, upper=1000, log=True),))
+    assert decode(space, [0.0])["n"] == 1
+    assert decode(space, [1.0])["n"] == 1000
+    # exp(0.5 * ln 1000) = sqrt(1000) = 31.62..., rounded to 32 (linear: 500).
+    mid = decode(space, [0.5])["n"]
+    assert mid == 32 and isinstance(mid, int)
+
+
 def test_categorical_bins_are_equal_width():
     space = SearchSpace((ParameterSpec("c", "categorical", choices=(0, 1, 2, 3)),))
     for i in range(4):
