@@ -170,7 +170,11 @@ def _fmt(x: float) -> str:
 
 
 def write_archive_csv(path: Path, run: metrics.RunTrajectory):
-    """Archive CSV with lossless (17 significant digit) float formatting."""
+    """Archive CSV with lossless (17 significant digit) float formatting.
+
+    No field needs quoting, so each row is one ``%`` format, written as it
+    is made; the bytes are those of ``csv.writer`` (CRLF line ends).
+    """
     n_obj = len(run.records[0].objectives) if run.records else 2
     d = len(run.records[0].genotype) if run.records else 0
     header = (
@@ -178,28 +182,31 @@ def write_archive_csv(path: Path, run: metrics.RunTrajectory):
         + [f"objective_{i + 1}" for i in range(n_obj)]
         + [f"genotype_{i + 1}" for i in range(d)]
     )
+    row_fmt = ",".join(["%s"] + [FLOAT_FMT] * (3 + n_obj + d)) + "\r\n"
     cumulative = 0.0
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for rec in run.records:
             cumulative += rec.cost
-            writer.writerow(
-                [str(rec.seq), _fmt(rec.fidelity), _fmt(rec.cost), _fmt(cumulative)]
-                + [_fmt(v) for v in rec.objectives]
-                + [_fmt(v) for v in rec.genotype]
-            )
+            head = (rec.seq, rec.fidelity, rec.cost, cumulative)
+            fh.write(row_fmt % (*head, *rec.objectives.tolist(), *rec.genotype.tolist()))
 
 
 def read_archive_csv(path: Path, metadata: metrics.RunMetadata) -> metrics.RunTrajectory:
-    """Inverse of write_archive_csv.  A non-finite value raises ValueError:
-    ``run`` never writes one, so the archive is malformed."""
+    """Inverse of write_archive_csv.  A row whose length differs from the
+    header's, or a non-finite value, raises ValueError: ``run`` never
+    writes either, so the archive is malformed."""
     records = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         n_obj = sum(1 for c in header if c.startswith("objective_"))
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"line {reader.line_num} has {len(row)} fields, "
+                    f"the header {len(header)}"
+                )
             values = [float(v) for v in row[1:]]
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"non-finite value in row {row[0]}")
@@ -220,6 +227,8 @@ def _run_filenames(opt_name: str, seed: int) -> tuple[str, str]:
 
 
 def cmd_run(config_path: str, workers: int = 1) -> int:
+    if workers < 1:
+        raise _UsageError(f"--workers: {workers} is below 1")
     config = _load_config(config_path)
     ladder, benchmark, stop, resolved = _resolve(config)
     jobs = [
@@ -469,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute every (optimizer, seed) pair")
     p_run.add_argument("config", help="experiment config JSON")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel runs")
+    p_run.add_argument("--workers", type=int, default=1, help="parallel runs (>= 1)")
 
     p_report = sub.add_parser("report", help="derive metric CSVs from run outputs")
     p_report.add_argument("output_dir", help="directory written by `run`")

@@ -49,7 +49,7 @@ def rand1_combine(r1, r2, r3, scaling_factor: float) -> np.ndarray:
     mutant = np.asarray(r1, dtype=float) + scaling_factor * (
         np.asarray(r2, dtype=float) - np.asarray(r3, dtype=float)
     )
-    return np.clip(mutant, 0.0, 1.0)
+    return mutant.clip(0.0, 1.0)
 
 
 def mutate_rand1(pool, params: DEParams, rng: np.random.Generator) -> np.ndarray:

@@ -158,10 +158,17 @@ class OptimizerState:
         self.objectives[row] = record.objectives
         self.seqs[row] = record.seq
 
-    def evaluate(self, objective_fn, genotype, fidelity, stop) -> EvaluationRecord:
-        """``_evaluate`` into the run's archive, marking the pair as seen."""
+    def evaluate(
+        self, objective_fn, genotype, fidelity, stop, key: tuple | None = None
+    ) -> EvaluationRecord:
+        """``_evaluate`` into the run's archive, marking the pair as seen.
+
+        ``key`` is the genotype's ``config_key`` if the caller has it.
+        """
         record = _evaluate(self.archive, objective_fn, genotype, fidelity, stop)
-        self.seen.add((config_key(self.space, genotype), record.fidelity))
+        if key is None:
+            key = config_key(self.space, genotype)
+        self.seen.add((key, record.fidelity))
         return record
 
 
@@ -228,7 +235,7 @@ def _evaluate(
             f"evaluation failed at fidelity {fidelity}: {exc}"
         ) from exc
     objectives = np.asarray(objectives, dtype=float)
-    if not np.all(np.isfinite(objectives)):
+    if not np.isfinite(objectives).all():
         raise EvaluationError(f"non-finite objectives {objectives}")
     record = EvaluationRecord(
         seq=len(archive.records) + 1,
@@ -242,25 +249,38 @@ def _evaluate(
     return record
 
 
-def _mutation_pool(state: OptimizerState, fidelity: float) -> list[np.ndarray]:
-    """Per-target mutation pool: parent pool topped up to three members.
+def _fill_ins(state: OptimizerState, fidelity: float):
+    """The parent pool at ``fidelity``, and the genotypes of the global
+    population not in it, which may top it up (None if it has three or more).
 
-    Fill-ins are drawn uniformly without replacement from the global
-    population, skipping genotypes already in the pool; if even that runs
-    dry (tiny ladders) fresh random genotypes complete the pool.
+    Nothing they depend on changes between the draws of one slot, so each
+    slot computes them once.
     """
-    pool = list(state.parent_pool.get(fidelity, ()))
+    pool = state.parent_pool.get(fidelity, ())
     if len(pool) >= 3:
+        return pool, None
+    if len(pool) == 0:
+        return pool, state.genotypes
+    pool = np.reshape(pool, (-1, state.genotypes.shape[1]))
+    in_pool = (state.genotypes[:, None] == pool).all(axis=2).any(axis=1)
+    return pool, state.genotypes[~in_pool]
+
+
+def _mutation_pool(state: OptimizerState, pool, candidates) -> np.ndarray:
+    """Per-target mutation pool: the parent pool topped up to three members.
+
+    Fill-ins are drawn uniformly without replacement from ``candidates``
+    (see ``_fill_ins``); if even that runs dry (tiny ladders) fresh random
+    genotypes complete the pool.
+    """
+    if candidates is None:
         return pool
-    pool_rows = np.reshape(pool, (-1, state.genotypes.shape[1]))
-    in_pool = (state.genotypes[:, None] == pool_rows).all(axis=2).any(axis=1)
-    candidates = state.genotypes[~in_pool]
     take = min(3 - len(pool), len(candidates))
     if take > 0:
-        for i in state.rng.choice(len(candidates), size=take, replace=False):
-            pool.append(candidates[i])
+        picked = candidates[state.rng.choice(len(candidates), size=take, replace=False)]
+        pool = np.concatenate([pool, picked]) if len(pool) else picked
     while len(pool) < 3:
-        pool.append(encode_sample(state.space, state.rng))
+        pool = np.vstack([pool, encode_sample(state.space, state.rng)])
     return pool
 
 
@@ -279,23 +299,28 @@ def _apply_selection(state: OptimizerState, row: int, record: EvaluationRecord):
         state.store(victim, record)
 
 
-def _draw_child(state: OptimizerState, row: int, fidelity: float) -> np.ndarray:
-    """Offspring genotype for the member in ``row``, avoiding repeats.
+def _draw_child(
+    state: OptimizerState, row: int, fidelity: float
+) -> tuple[np.ndarray, tuple]:
+    """Offspring genotype for the member in ``row``, avoiding repeats, and
+    its ``config_key``.
 
     See the module docstring for the draw order.
     """
+    parents, candidates = _fill_ins(state, fidelity)
     for draw in range(2 * MAX_DRAWS):
         if draw < MAX_DRAWS:
-            pool = _mutation_pool(state, fidelity)
+            pool = _mutation_pool(state, parents, candidates)
             mutant = mutate_rand1(pool, state.de_params, state.rng)
             child = crossover_binomial(
                 state.genotypes[row], mutant, state.de_params, state.rng
             )
         else:
             child = encode_sample(state.space, state.rng)
-        if (config_key(state.space, child), fidelity) not in state.seen:
+        key = config_key(state.space, child)
+        if (key, fidelity) not in state.seen:
             break
-    return child
+    return child, key
 
 
 def evolve_rung(
@@ -314,8 +339,8 @@ def evolve_rung(
         n_slots = len(rows)
     for raw_slot in range(n_slots):
         row = rows[raw_slot % len(rows)]
-        child = _draw_child(state, row, fidelity)
-        record = state.evaluate(objective_fn, child, fidelity, stop)
+        child, key = _draw_child(state, row, fidelity)
+        record = state.evaluate(objective_fn, child, fidelity, stop, key)
         _apply_selection(state, row, record)
 
 

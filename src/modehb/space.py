@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -64,6 +65,9 @@ class SearchSpace:
     """Ordered collection of parameters; genotype dimension == len(params)."""
 
     params: tuple[ParameterSpec, ...] = field(default_factory=tuple)
+    # One decoder per parameter, built once so config_key skips the kind
+    # dispatch on every call.
+    decoders: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.params) < 1:
@@ -71,6 +75,7 @@ class SearchSpace:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("parameter names must be unique")
+        object.__setattr__(self, "decoders", tuple(map(_decoder, self.params)))
 
     def __len__(self) -> int:
         return len(self.params)
@@ -81,21 +86,37 @@ def encode_sample(space: SearchSpace, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=len(space))
 
 
-def _decode_one(spec: ParameterSpec, c: float):
-    if spec.kind in ("continuous", "integer"):
-        if spec.log:
-            lo, hi = math.log(spec.lower), math.log(spec.upper)
-            raw = math.exp(lo + c * (hi - lo))
-        else:
-            raw = spec.lower + c * (spec.upper - spec.lower)
-        if spec.kind == "continuous":
-            return raw
-        # Round half up so decoding is a monotone step function of c.
-        value = int(math.floor(raw + 0.5))
-        return min(max(value, int(spec.lower)), int(spec.upper))
+def _linear(lower: float, span: float, c: float) -> float:
+    return lower + c * span
+
+
+def _log_linear(log_lower: float, log_span: float, c: float) -> float:
+    return math.exp(log_lower + c * log_span)
+
+
+def _rounded(raw, lower: int, upper: int, c: float) -> int:
+    # Round half up so decoding is a monotone step function of c.
+    return min(max(math.floor(raw(c) + 0.5), lower), upper)
+
+
+def _choice(choices: tuple, c: float):
     # Equal-width bins; c == 1.0 falls into the last bin.
-    k = len(spec.choices)
-    return spec.choices[min(int(math.floor(c * k)), k - 1)]
+    k = len(choices)
+    return choices[min(math.floor(c * k), k - 1)]
+
+
+def _decoder(spec: ParameterSpec):
+    """The map from one genotype component to the parameter's value."""
+    if spec.kind in ("categorical", "ordinal"):
+        return partial(_choice, spec.choices)
+    if spec.log:
+        lo, hi = math.log(spec.lower), math.log(spec.upper)
+        raw = partial(_log_linear, lo, hi - lo)
+    else:
+        raw = partial(_linear, spec.lower, spec.upper - spec.lower)
+    if spec.kind == "continuous":
+        return raw
+    return partial(_rounded, raw, int(spec.lower), int(spec.upper))
 
 
 def decode(space: SearchSpace, genotype) -> dict:
@@ -122,7 +143,7 @@ def config_key(space: SearchSpace, genotype) -> tuple:
     genotype nor builds a dict, so it is cheap enough to call per draw.
     """
     values = np.asarray(genotype, dtype=float).tolist()
-    return tuple(map(_decode_one, space.params, values))
+    return tuple([decode_value(c) for decode_value, c in zip(space.decoders, values)])
 
 
 def space_from_json(doc) -> SearchSpace:

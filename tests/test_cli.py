@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import io
 import json
 import os
 import shutil
@@ -13,8 +14,8 @@ import pytest
 
 import modehb
 from modehb import bench, cli
-from modehb.metrics import RunMetadata
-from modehb.optimizer import StoppingCriteria, run_random_search
+from modehb.metrics import RunMetadata, RunTrajectory
+from modehb.optimizer import EvaluationRecord, StoppingCriteria, run_random_search
 from modehb.scheduler import build_ladder
 
 
@@ -138,6 +139,15 @@ def test_run_usage_errors(tmp_path, capsys):
     config["ladder"] = {"b_min": 1, "b_max": 5, "eta": 2}
     assert cli.main(["run", str(write_config(tmp_path, config))]) == 2
     capsys.readouterr()
+
+    # Fewer than one worker is refused before anything runs.
+    for workers in ("0", "-3"):
+        config = base_config(tmp_path / "out")
+        path = str(write_config(tmp_path, config))
+        assert cli.main(["run", path, "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     # Three evaluations never reach b_max: nothing to report, nothing written.
     config = base_config(tmp_path / "out")
@@ -350,6 +360,20 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     low = "modehb_nsga2_seed0_archive.csv"
     assert low in broken_copy("inf_b_min", first_objective(low, "inf", "1"))
 
+    # A row shorter than the header, below b_max, is malformed too.
+    def cut_row(name, index, n_fields):
+        def break_it(out):
+            with (out / name).open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[index][1] != "4"
+            rows[index] = rows[index][:n_fields]
+            with (out / name).open("w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        return break_it
+
+    assert low in broken_copy("no_last_genotype", cut_row(low, 5, -1))
+    assert low in broken_copy("cut_after_objective_1", cut_row(low, 6, 5))
+
 
 # ------------------------------------------------------- python -m modehb
 
@@ -388,26 +412,65 @@ def test_import_does_not_load_jsonschema_or_process_pools():
 # -------------------------------------------------------------- round trip
 
 
+def _csv_writer_bytes(run) -> bytes:
+    """An archive as csv.writer writes it, with "%.17g" per value."""
+    first = run.records[0]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["seq", "fidelity", "cost_seconds", "cumulative_cost"]
+        + [f"objective_{i + 1}" for i in range(len(first.objectives))]
+        + [f"genotype_{i + 1}" for i in range(len(first.genotype))]
+    )
+    cumulative = 0.0
+    for rec in run.records:
+        cumulative += rec.cost
+        values = [rec.fidelity, rec.cost, cumulative, *rec.objectives, *rec.genotype]
+        writer.writerow([str(rec.seq)] + ["%.17g" % v for v in values])
+    return buf.getvalue().encode("utf-8")
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _hand_built_run(ladder) -> RunTrajectory:
+    awkward = [-0.0, 5e-324, 1 / 3, 1e16, 2.0**53 + 1, 3.0, 0.0, 1.0, -2.0]
+    records = tuple(
+        EvaluationRecord(
+            seq=i + 1,
+            genotype=np.array([awkward[i], awkward[-1 - i], 0.5]),
+            fidelity=float(ladder.levels[i % len(ladder.levels)]),
+            objectives=np.array([awkward[(i + 3) % len(awkward)], awkward[i]]),
+            cost=awkward[(i + 5) % len(awkward)],
+        )
+        for i in range(len(awkward))
+    )
+    metadata = RunMetadata(
+        seed=0, optimizer="modehb_nsga2", benchmark="hand_built", ladder=ladder,
+        stop_cause=None,
+    )
+    return RunTrajectory(records=records, metadata=metadata)
+
+
 def test_archive_round_trip_is_lossless(tmp_path):
     ladder = build_ladder(1, 4, 2)
     bm = bench.toy_grid(4, ladder)
-    run = run_random_search(
+    sampled = run_random_search(
         bm.space, ladder, bm.evaluate, StoppingCriteria(max_tae=15), 3,
         benchmark_name=bm.name,
     )
-    path = tmp_path / "archive.csv"
-    cli.write_archive_csv(path, run)
-    meta = RunMetadata(
-        seed=3, optimizer="random_search", benchmark=bm.name, ladder=ladder,
-        stop_cause=None,
-    )
-    loaded = cli.read_archive_csv(path, meta)
-    assert len(loaded.records) == 15
-    for a, b in zip(run.records, loaded.records):
-        assert a.seq == b.seq
-        assert a.fidelity == b.fidelity and a.cost == b.cost
-        assert np.array_equal(a.objectives, b.objectives)
-        assert np.array_equal(a.genotype, b.genotype)
+    for run in (sampled, _hand_built_run(ladder)):
+        path = tmp_path / "archive.csv"
+        cli.write_archive_csv(path, run)
+        assert path.read_bytes() == _csv_writer_bytes(run)
+        loaded = cli.read_archive_csv(path, run.metadata)
+        assert len(loaded.records) == len(run.records)
+        for a, b in zip(run.records, loaded.records):
+            assert a.seq == b.seq
+            assert _bits([a.fidelity, a.cost]) == _bits([b.fidelity, b.cost])
+            assert _bits(a.objectives) == _bits(b.objectives)
+            assert _bits(a.genotype) == _bits(b.genotype)
 
 
 # ------------------------------------------------------------ bench-oracle

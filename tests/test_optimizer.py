@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from modehb import optimizer
 from modehb.bench import toy_grid, zdt1_mf
 from modehb.errors import EvaluationError, NormalizationError
 from modehb.optimizer import (
@@ -340,6 +341,36 @@ def test_evolve_rung_spends_every_slot_once_all_configurations_are_seen():
     assert all(rec.fidelity == 1.0 for rec in children)
     seen = set(_configs(grid.space, state.archive.records[:before]))
     assert set(_configs(grid.space, children)) <= seen
+
+
+def test_config_key_runs_once_per_draw_and_once_per_unsampled_evaluation(
+    monkeypatch,
+):
+    calls = Counter()
+
+    def count(name):
+        original = getattr(optimizer, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, name, counted)
+
+    for name in ("config_key", "crossover_binomial", "encode_sample"):
+        count(name)
+    result = small_run(max_tae=100)
+    # The first bracket evaluates its random initial population and then
+    # the genotypes it promotes; neither was drawn, so each needs a key.
+    first_bracket = dehb_iteration_plan(LADDER)[0].rungs
+    n_initial = first_bracket[0][1]
+    unsampled = sum(n for _, n in first_bracket)
+    # Every later evaluation is a drawn child.  A draw is a DE draw (one
+    # crossover) or a uniform draw (one encode_sample after the initial
+    # population); repeats are redrawn, and the budget stops the last draw.
+    draws = calls["crossover_binomial"] + calls["encode_sample"] - n_initial
+    assert draws > len(result.records) - unsampled > 0
+    assert calls["config_key"] == draws + unsampled
 
 
 # ---------------------------------------------------------- random search
