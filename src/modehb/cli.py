@@ -231,6 +231,11 @@ def cmd_run(config_path: str, workers: int = 1) -> int:
         raise _UsageError(f"--workers: {workers} is below 1")
     config = _load_config(config_path)
     ladder, benchmark, stop, resolved = _resolve(config)
+    # Checked before any run, so a path that mkdir would refuse wastes none.
+    out_dir = Path(config["output_dir"])
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise _UsageError(f"{config_path}: $.output_dir: {existing} is not a directory")
     jobs = [
         (opt_entry, seed)
         for opt_entry in config["optimizers"]
@@ -254,55 +259,50 @@ def cmd_run(config_path: str, workers: int = 1) -> int:
         best = metrics.empirical_best_hv(results, bounds)
     except EmptyPopulationError as exc:
         raise _UsageError(f"{config_path}: {exc}; raise stop.max_tae") from exc
-    out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    trajectories = dict(zip([(o["name"], s) for o, s in jobs], results))
     summary: dict = {
         "config": resolved,
         "empirical_best_hv": best,
         "optimizers": {},
         "runs": [],
     }
-    for opt_entry in config["optimizers"]:
+    per_seed = {o["name"]: {} for o in config["optimizers"]}
+    for (opt_entry, seed), run in zip(jobs, results):
         name = opt_entry["name"]
-        per_seed = {}
-        for seed in config["seeds"]:
-            run = trajectories[(name, seed)]
-            archive_name, metrics_name = _run_filenames(name, seed)
-            write_archive_csv(out_dir / archive_name, run)
-            series = metrics.hv_trajectory(run, bounds)
-            final_hv = float(series.hv[-1]) if len(series.hv) else 0.0
-            diff = metrics.log_hv_diff(final_hv, best)
-            run_info = {
+        archive_name, metrics_name = _run_filenames(name, seed)
+        write_archive_csv(out_dir / archive_name, run)
+        series = metrics.hv_trajectory(run, bounds)
+        final_hv = float(series.hv[-1])
+        diff = metrics.log_hv_diff(final_hv, best)
+        run_info = {
+            "optimizer": name,
+            "seed": seed,
+            "benchmark": benchmark.name,
+            "ladder": dict(config["ladder"]),
+            "stop_cause": run.metadata.stop_cause,
+            "tae": len(run.records),
+            "cumulative_cost": float(series.cumulative_cost[-1]),
+            "final_hv": final_hv,
+            "final_log_hv_diff": diff,
+        }
+        (out_dir / metrics_name).write_text(
+            json.dumps(run_info, indent=2) + "\n", encoding="utf-8"
+        )
+        per_seed[name][str(seed)] = {"final_hv": final_hv, "log_hv_diff": diff}
+        summary["runs"].append(
+            {
                 "optimizer": name,
                 "seed": seed,
-                "benchmark": benchmark.name,
-                "ladder": dict(config["ladder"]),
-                "stop_cause": run.metadata.stop_cause,
-                "tae": len(run.records),
-                "cumulative_cost": float(series.cumulative_cost[-1])
-                if len(run.records)
-                else 0.0,
-                "final_hv": final_hv,
-                "final_log_hv_diff": diff,
+                "archive": archive_name,
+                "metrics": metrics_name,
             }
-            (out_dir / metrics_name).write_text(
-                json.dumps(run_info, indent=2) + "\n", encoding="utf-8"
-            )
-            per_seed[str(seed)] = {"final_hv": final_hv, "log_hv_diff": diff}
-            summary["runs"].append(
-                {
-                    "optimizer": name,
-                    "seed": seed,
-                    "archive": archive_name,
-                    "metrics": metrics_name,
-                }
-            )
-        diffs = [v["log_hv_diff"] for v in per_seed.values()]
+        )
+    for name, opt_seeds in per_seed.items():
+        diffs = [v["log_hv_diff"] for v in opt_seeds.values()]
         summary["optimizers"][name] = {
             "log_hv_diff_mean": float(np.mean(diffs)),
             "log_hv_diff_std": float(np.std(diffs)),
-            "per_seed": per_seed,
+            "per_seed": opt_seeds,
         }
     summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
@@ -348,11 +348,6 @@ def _load_runs(out_dir: Path):
     return opt_names, seeds, best, benchmark, runs
 
 
-def _hv_at(series: metrics.HVSeries, t: float) -> float:
-    idx = int(np.searchsorted(series.cumulative_cost, t, side="right")) - 1
-    return float(series.hv[idx]) if idx >= 0 else 0.0
-
-
 def _write_table(path: Path, header: list[str], rows):
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -387,19 +382,25 @@ def cmd_report(out_dir: str, attainment: str | None = None) -> int:
     t_lo = min(float(s.cumulative_cost[0]) for s in series.values())
     t_hi = max(float(s.cumulative_cost[-1]) for s in series.values())
     grid = np.geomspace(t_lo, t_hi, TIME_GRID_POINTS)
+    # A run's HV at time t is that of its last record by cost t, 0 before its first.
+    on_grid = {
+        key: np.append(0.0, s.hv)[np.searchsorted(s.cumulative_cost, grid, side="right")]
+        for key, s in series.items()
+    }
+    # One (time, seed) matrix per optimizer.
+    hv = np.array(
+        [np.column_stack([on_grid[(name, s)] for s in seeds]) for name in opt_names]
+    )
 
-    for name in opt_names:
-        hv_rows, diff_rows = [], []
-        for t in grid:
-            hvs = [_hv_at(series[(name, s)], t) for s in seeds]
-            hv_rows.append([_fmt(t)] + [_fmt(h) for h in hvs] + [_fmt(np.mean(hvs))])
-            diffs = [metrics.log_hv_diff(h, best) for h in hvs]
-            diff_rows.append(
-                [_fmt(t)] + [_fmt(v) for v in diffs] + [_fmt(np.mean(diffs))]
-            )
-        header = ["time"] + [f"seed_{s}" for s in seeds] + ["mean"]
-        _write_table(out / f"report_hv_{name}.csv", header, hv_rows)
-        _write_table(out / f"report_loghvdiff_{name}.csv", header, diff_rows)
+    header = ["time"] + [f"seed_{s}" for s in seeds] + ["mean"]
+    for name, opt_hv in zip(opt_names, hv):
+        diffs = [[metrics.log_hv_diff(h, best) for h in row] for row in opt_hv]
+        for prefix, table in (("hv", opt_hv), ("loghvdiff", diffs)):
+            rows = [
+                [_fmt(t)] + [_fmt(v) for v in row] + [_fmt(np.mean(row))]
+                for t, row in zip(grid, table)
+            ]
+            _write_table(out / f"report_{prefix}_{name}.csv", header, rows)
 
         opt_runs = [runs[(name, s)] for s in seeds]
         for k in ks:
@@ -413,16 +414,11 @@ def cmd_report(out_dir: str, attainment: str | None = None) -> int:
                 [[_fmt(p[0]), _fmt(p[1])] for p in surface],
             )
 
-    rank_rows = []
-    for t in grid:
-        sums = np.zeros(len(opt_names))
-        for s in seeds:
-            hvs = np.array([_hv_at(series[(name, s)], t) for name in opt_names])
-            # Average rank, 1 = highest HV: count above + (count tied + 1) / 2.
-            above = (hvs[None, :] > hvs[:, None]).sum(axis=1)
-            tied = (hvs[None, :] == hvs[:, None]).sum(axis=1)
-            sums += above + (tied + 1) / 2
-        rank_rows.append([_fmt(t)] + [_fmt(v) for v in sums / len(seeds)])
+    # Average rank per seed, 1 = highest HV: count above + (count tied + 1) / 2.
+    above = (hv[None] > hv[:, None]).sum(axis=1)
+    tied = (hv[None] == hv[:, None]).sum(axis=1)
+    ranks = (above + (tied + 1) / 2).sum(axis=2) / len(seeds)
+    rank_rows = [[_fmt(t)] + [_fmt(v) for v in row] for t, row in zip(grid, ranks.T)]
     _write_table(out / "report_rank.csv", ["time"] + list(opt_names), rank_rows)
     return 0
 

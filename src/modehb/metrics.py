@@ -100,26 +100,23 @@ def hv_trajectory(run: RunTrajectory, bounds) -> HVSeries:
     points, so the values are bit-identical to recomputing from scratch.
     """
     b_max = run.metadata.ladder.b_max
-    points = iter(_bmax_points(run, bounds))
-    costs = np.empty(len(run.records))
-    taes = np.empty(len(run.records), dtype=int)
-    hvs = np.empty(len(run.records))
     staircase = np.empty((0, len(bounds)))
     hv = 0.0
-    cumulative = 0.0
-    for i, rec in enumerate(run.records):
-        cumulative += rec.cost
-        if rec.fidelity == b_max:
-            # Clamped into [0, 1], so never beyond the reference point.
-            point = next(points)
-            if not np.all(staircase <= point, axis=1).any():
-                kept = staircase[~np.all(point <= staircase, axis=1)]
-                staircase = np.vstack([kept, point])
-                hv = hypervolume(staircase, REF)
-        costs[i] = cumulative
-        taes[i] = i + 1
-        hvs[i] = hv
-    return HVSeries(costs, taes, hvs)
+    # hv_after[j]: the value once the first j b_max records are in.
+    hv_after = [hv]
+    for point in _bmax_points(run, bounds):
+        # Clamped into [0, 1], so never beyond the reference point.
+        if not np.all(staircase <= point, axis=1).any():
+            kept = staircase[~np.all(point <= staircase, axis=1)]
+            staircase = np.vstack([kept, point])
+            hv = hypervolume(staircase, REF)
+        hv_after.append(hv)
+    n_bmax_seen = np.cumsum([rec.fidelity == b_max for rec in run.records], dtype=int)
+    return HVSeries(
+        np.cumsum([rec.cost for rec in run.records], dtype=float),
+        np.arange(1, len(run.records) + 1),
+        np.array(hv_after)[n_bmax_seen],
+    )
 
 
 def log_hv_diff(hv: float, hv_best: float) -> float:
@@ -160,19 +157,15 @@ def attainment_surface(runs, k: int, bounds) -> np.ndarray:
     if not 1 <= k <= len(runs):
         raise MetricsError(f"attainment level k={k} out of range [1, {len(runs)}]")
     fronts = [final_front(run, bounds) for run in runs]
-    xs = np.unique(
-        np.concatenate([f[:, 0] for f in fronts if f.size] or [np.empty(0)])
-    )
-    corners: list[tuple[float, float]] = []
-    prev_y = np.inf
-    for x in xs:
-        # Cheapest f2 each run attains at f1 <= x; k-th smallest of those.
-        ys = []
-        for f in fronts:
-            reach = f[f[:, 0] <= x, 1] if f.size else np.empty(0)
-            ys.append(reach.min() if reach.size else np.inf)
-        y = float(np.sort(ys)[k - 1])
-        if np.isfinite(y) and y < prev_y:
-            corners.append((float(x), y))
-            prev_y = y
-    return np.array(corners) if corners else np.empty((0, 2))
+    # Repeated x values give equal y, so only the first can be a corner.
+    xs = np.sort(np.concatenate([f[:, 0] for f in fronts]))
+    reach = np.empty((len(fronts), len(xs)))
+    for row, f in zip(reach, fronts):
+        # Cheapest f2 the run attains at f1 <= x: a step function of x.
+        f1, f2 = f[np.argsort(f[:, 0])].T
+        steps = np.concatenate([[np.inf], np.minimum.accumulate(f2)])
+        row[:] = steps[np.searchsorted(f1, xs, side="right")]
+    ys = np.sort(reach, axis=0)[k - 1]
+    # The k-th smallest of those never rises with x; a corner is where it drops.
+    drops = ys < np.concatenate([[np.inf], ys[:-1]])
+    return np.column_stack([xs[drops], ys[drops]])

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .de import DEParams, crossover_binomial, mo_selection, mutate_rand1
-from .errors import EvaluationError, NormalizationError
+from .errors import EvaluationError, NormalizationError, UnsupportedDimensionError
 from .metrics import RunMetadata, RunTrajectory
 from .pareto import rank_and_truncate
 from .scheduler import BracketPlan, FidelityLadder, dehb_iteration_plan
@@ -187,6 +187,10 @@ def initialize(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected {sorted(VARIANTS)}")
+    if len(objective_bounds) != 2:
+        raise UnsupportedDimensionError(
+            f"{len(objective_bounds)} objective bounds; only two objectives are supported"
+        )
     lo, hi = np.array(objective_bounds, dtype=float).T
     if np.any(hi <= lo):
         raise NormalizationError(f"degenerate objective bounds {objective_bounds}")
@@ -235,6 +239,10 @@ def _evaluate(
             f"evaluation failed at fidelity {fidelity}: {exc}"
         ) from exc
     objectives = np.asarray(objectives, dtype=float)
+    if objectives.shape != (2,):
+        raise EvaluationError(
+            f"objective vector of shape {objectives.shape}, expected two objectives"
+        )
     if not np.isfinite(objectives).all():
         raise EvaluationError(f"non-finite objectives {objectives}")
     record = EvaluationRecord(

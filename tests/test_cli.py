@@ -118,7 +118,7 @@ def test_default_stop_uses_budget_formula(tmp_path):
     assert summary["config"]["stop"]["max_tae"] == 134
 
 
-def test_run_usage_errors(tmp_path, capsys):
+def test_run_usage_errors(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
     bad = tmp_path / "bad.json"
@@ -148,6 +148,22 @@ def test_run_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: --workers") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    # An output_dir that is a file, lies under one, or is a dangling link is
+    # refused before anything runs.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep", encoding="utf-8")
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    for out in (blocker, blocker / "sub" / "out", dangling):
+        path = str(write_config(tmp_path, base_config(out)))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_execute_run", lambda *args: pytest.fail("ran"))
+            assert cli.main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "output_dir" in err and "not a directory" in err
+        assert blocker.read_text(encoding="utf-8") == "keep"
 
     # Three evaluations never reach b_max: nothing to report, nothing written.
     config = base_config(tmp_path / "out")
@@ -397,6 +413,22 @@ def test_import_does_not_load_scipy():
     proc = _python("-c", "import sys, modehb; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_report_does_not_load_numpy_ma(tmp_path):
+    config = base_config(tmp_path / "out")
+    config["benchmark"] = {"name": "zdt1_mf", "d": 4}
+    config["ladder"] = {"b_min": 1, "b_max": 9, "eta": 3}
+    config["stop"] = {"max_tae": 60}
+    assert cli.main(["run", str(write_config(tmp_path, config))]) == 0
+    proc = _python(
+        "-c",
+        "import sys; from modehb import cli; "
+        f"code = cli.main(['report', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
 
 
 def test_import_does_not_load_jsonschema_or_process_pools():

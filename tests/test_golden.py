@@ -1,8 +1,8 @@
 """Behaviour lock: SHA-256 digests of what `modehb run` and `modehb report` write.
 
-Each case runs every optimizer through the CLI and hashes each archive CSV
-and per-run metrics JSON; the first case also hashes the `report` CSVs.
-`summary.json` is left out because it embeds the (temporary) output_dir.
+Each case runs every optimizer through the CLI and hashes each archive CSV,
+per-run metrics JSON and `summary.json`, whose (temporary) output_dir value
+is masked first; the cases that run `report` also hash its CSVs.
 
 The digests pin the determinism contract across refactors.  A digest may
 change only in a change whose CHANGES.md entry says why.
@@ -17,16 +17,21 @@ from modehb import cli
 
 OPTIMIZERS = [{"name": name} for name in cli.OPTIMIZER_NAMES]
 
-# name: (benchmark, (b_min, b_max, eta), seeds, max_tae, also run `report`)
+# name: (benchmark, (b_min, b_max, eta), seeds, max_tae, `report` arguments
+# after the output directory, or None to skip `report`)
 CASES = {
     # Population 15, many duplicate cells and tied hypervolumes.
-    "toy_grid_k4": ({"name": "toy_grid", "k": 4}, (1, 4, 2), [0, 8], 64, True),
+    "toy_grid_k4": ({"name": "toy_grid", "k": 4}, (1, 4, 2), [0, 8], 64, []),
     # Population 40; the default budget for d=6.
-    "zdt1_d6": ({"name": "zdt1_mf", "d": 6}, (1, 27, 3), [0], 216, False),
+    "zdt1_d6": ({"name": "zdt1_mf", "d": 6}, (1, 27, 3), [0], 216, None),
+    # Three seeds with distinct fronts: every attainment level differs.
+    "zdt1_d4_seeds3": (
+        {"name": "zdt1_mf", "d": 4}, (1, 9, 3), [0, 1, 2], 120, ["--attainment", "1,2,3"]
+    ),
     # Population 121 on a five-rung ladder.
-    "zdt2_d10": ({"name": "zdt2_mf", "d": 10}, (1, 81, 3), [0], 300, False),
+    "zdt2_d10": ({"name": "zdt2_mf", "d": 10}, (1, 81, 3), [0], 300, None),
     # Population 3: mutation pools fall back to random genotypes.
-    "toy_grid_tiny": ({"name": "toy_grid", "k": 4}, (1, 2, 2), [0, 1], 40, False),
+    "toy_grid_tiny": ({"name": "toy_grid", "k": 4}, (1, 2, 2), [0, 1], 40, None),
 }
 
 GOLDEN = {
@@ -75,6 +80,8 @@ GOLDEN = {
             "0870d79cfc1b261af053c5b4cdc64e926d4f19a378078b1abfeb33b1399217a3",
         "report_rank.csv":
             "ba1949cf83c9fbae71349bde755c170f527f3a651e60e264ea2e0a7ed853eae7",
+        "summary.json":
+            "2c6357a8d1f16621eee69536ef468c80df2a28f04a768e41888d4a059aaa68e8",
     },
     "toy_grid_tiny": {
         "modehb_epsnet_seed0_archive.csv":
@@ -101,6 +108,80 @@ GOLDEN = {
             "f300aa75a2be7f31f5f03e36681441a5f117297ec29b353854b97ebca891456b",
         "random_search_seed1_metrics.json":
             "60ec3d1fd6a6873f0042efdd6c98073b6e8c91fafcbeddc8999ab9f8fa5b42f2",
+        "summary.json":
+            "04c92bb477eac9ff50bc8f9a4248fcc8c7b28902c51d813314b0d9445793b769",
+    },
+    "zdt1_d4_seeds3": {
+        "modehb_epsnet_seed0_archive.csv":
+            "da6c3552abbe0828b1a6646121d0090fe0d368d5cbf8f3434cade7119990a713",
+        "modehb_epsnet_seed0_metrics.json":
+            "23245eede96240355dd634633d9bdc9e11988ca2c337d983bdcbc56351e6c1fa",
+        "modehb_epsnet_seed1_archive.csv":
+            "94b27a61307cc0c4a1c135b7a49c7baa07192d4162da638077c3aafd336e2966",
+        "modehb_epsnet_seed1_metrics.json":
+            "81a1e0a567d2b2b029840bee9ce859772fd14a7f232509cd0facd5cc09939163",
+        "modehb_epsnet_seed2_archive.csv":
+            "fd3fe7c5300540b37d90812b62e4d3d38b2dc851906b795dd328fa09042fa2f6",
+        "modehb_epsnet_seed2_metrics.json":
+            "9aecc880726d15654daadabf87d3d418cd4c8878e7403cd6c98fd1813e8e9bcd",
+        "modehb_nsga2_seed0_archive.csv":
+            "84263b69e33d9cded1f71f786f50e010753c899bc98d26287dc87b2133ad07a5",
+        "modehb_nsga2_seed0_metrics.json":
+            "9b2486fe5c7724b9873a04b2b86d15af068eec4e85041f1a18f1ea804744b062",
+        "modehb_nsga2_seed1_archive.csv":
+            "d73c728726ac0f35c497c5010a45da4d1d3a21ac6c16448cbb351d1e0dc323d2",
+        "modehb_nsga2_seed1_metrics.json":
+            "7494f35712f2c43ea03db7d158aabea544829e501aa259655b97b3093403ec80",
+        "modehb_nsga2_seed2_archive.csv":
+            "a6bf8caef5ed27394dc888d2dc19c6a2d41257808a54d73333ff7d677a9eadf1",
+        "modehb_nsga2_seed2_metrics.json":
+            "d78a13bfdd3fdcb49795903768f967335823020269e7f33d8b53e30b89915433",
+        "random_search_seed0_archive.csv":
+            "5e348a3c180c8f36b80e44b4c87ecba38ff7e0678e431b29fbf2175a6284583c",
+        "random_search_seed0_metrics.json":
+            "abc8866b685a6a4946ede495841e809e0ef2dfc4f4ebd8b8172453185f062151",
+        "random_search_seed1_archive.csv":
+            "81a13d70fb0920f1169769c7ce263ac26c641c14a0bdaf2fab49a911cf8b1282",
+        "random_search_seed1_metrics.json":
+            "b98b9c8a0b2f9e860956fe71f8a19f92d80c90402326de426d48b4581ddd2edd",
+        "random_search_seed2_archive.csv":
+            "14b9368608ead3c500a8db5e597b17140199f318b08f2a71f088cc8c9fbae763",
+        "random_search_seed2_metrics.json":
+            "78f927971414a46a3e9226552885c5b31606de81708198605e0f4c9399ab98e4",
+        "report_attainment_modehb_epsnet_k1.csv":
+            "6b35a908916793b216aef72058e418eb715aa9158acf8846c0bc1752ccac72c1",
+        "report_attainment_modehb_epsnet_k2.csv":
+            "0203f6b01805ee5e2603e27af059e05b046bb59187b9dcb3c6382ce4205a54ed",
+        "report_attainment_modehb_epsnet_k3.csv":
+            "9d758341c8026afe31a5ba3a854db38776d606660dd6c5211fb4ad25a0ef3581",
+        "report_attainment_modehb_nsga2_k1.csv":
+            "25f0c0677f7e7e9a9b66676c3fa5a5188b493fe1be05d56cf0a575c0010c75b9",
+        "report_attainment_modehb_nsga2_k2.csv":
+            "a588a9312a322d3b8077d650238ab8d004a4025e969a843aeceeea792e295b4a",
+        "report_attainment_modehb_nsga2_k3.csv":
+            "864c3b73f09d4c3a611e1729f2c9f6b021d8850546d55f1cdf7daa5f4c42672e",
+        "report_attainment_random_search_k1.csv":
+            "b58f6204a5e1fed22d8eebffe9418926ed812d854ba63684da08d15d33222993",
+        "report_attainment_random_search_k2.csv":
+            "815fa9e60b415f84195074781c9b20545f6ac87dff5f4d224afe16ad1b3b9b19",
+        "report_attainment_random_search_k3.csv":
+            "1dbb6df84e65468035832c0efd4d89f00b6863592faf422bfb848ed11013689f",
+        "report_hv_modehb_epsnet.csv":
+            "b917d9427b49675e8b6c994178b0b4754f8e8eb23788330025e53f30bd24d371",
+        "report_hv_modehb_nsga2.csv":
+            "a3f9daa14a72baf277a370f752f8f34c906812e630e2622a72fd65452ba242f0",
+        "report_hv_random_search.csv":
+            "8ca0338ee9dcd28a3417be8f354ed1c0b293e4e07c17d4994ac0b679de2037ed",
+        "report_loghvdiff_modehb_epsnet.csv":
+            "37cd4d1b3a89e81132e09efc2304bc2e38261ef58cce65e583b6f424f0cce1aa",
+        "report_loghvdiff_modehb_nsga2.csv":
+            "315edc021b04fc57cdf7d7e7d5d1c5d3267e8dd9247bbc5051de966ad4960449",
+        "report_loghvdiff_random_search.csv":
+            "32a8218453d8ec1fc6a00a3b162a82a68f0edd6f2e602e2981106a234ca82887",
+        "report_rank.csv":
+            "c065e72795619bc30ef5edb91740521865ba27dd8d4207b852bede81eb2a9854",
+        "summary.json":
+            "42e7126f38a1a0b2c0c790ea8a8b932a7b3176cb2a562fe2ce5fbd79bdadf191",
     },
     "zdt1_d6": {
         "modehb_epsnet_seed0_archive.csv":
@@ -115,6 +196,8 @@ GOLDEN = {
             "0bac3069bd95dafd68f8163b49a4963cf2a132127a3f48aff316591be5382dbf",
         "random_search_seed0_metrics.json":
             "0ae105a6fb9d3a971214707fce561b920629540e1d4f25969b12eb06e4af6459",
+        "summary.json":
+            "5cd0ec29d83f50affa8d4407974d2f14366d3a4a3f77beabf6965c39bc8d58c3",
     },
     "zdt2_d10": {
         "modehb_epsnet_seed0_archive.csv":
@@ -129,15 +212,21 @@ GOLDEN = {
             "850612f96afb03e2eacc33c04297b182ba90f6a975bf4e254be6bd5918c54462",
         "random_search_seed0_metrics.json":
             "bc7dc367aaefb194465a59e15225be04bc948b7178279591b9a436948c2b9a92",
+        "summary.json":
+            "193b51070d84deece66cacfc44bc8a0115be9c9c95970b2fb805a930faacd91f",
     },
 }
 
 
 def _digests(out_dir):
+    masked = json.dumps(str(out_dir)).encode()
     return {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        path.name: hashlib.sha256(
+            path.read_bytes().replace(masked, b'"<output_dir>"')
+            if path.name == "summary.json"
+            else path.read_bytes()
+        ).hexdigest()
         for path in sorted(out_dir.iterdir())
-        if path.name != "summary.json"
     }
 
 
@@ -156,6 +245,6 @@ def test_outputs_match_golden_digests(case, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert cli.main(["run", str(path)]) == 0
-    if report:
-        assert cli.main(["report", str(out)]) == 0
+    if report is not None:
+        assert cli.main(["report", str(out), *report]) == 0
     assert _digests(out) == GOLDEN[case]

@@ -7,7 +7,7 @@ import pytest
 
 from modehb import optimizer
 from modehb.bench import toy_grid, zdt1_mf
-from modehb.errors import EvaluationError, NormalizationError
+from modehb.errors import EvaluationError, NormalizationError, UnsupportedDimensionError
 from modehb.optimizer import (
     EvaluationRecord,
     StoppingCriteria,
@@ -108,6 +108,25 @@ def test_initialize_validation():
             BENCH.space, LADDER, seed=0, variant="nsga2",
             objective_bounds=((0.0, 0.0), (0.0, 1.0)),
         )
+
+
+@pytest.mark.parametrize("n_bounds", [1, 3])
+def test_run_rejects_bounds_for_other_than_two_objectives(n_bounds):
+    calls = []
+
+    def objective(genotype, fidelity):
+        calls.append(fidelity)
+        return BENCH.evaluate(genotype, fidelity)
+
+    bounds = ((0.0, 1.0),) * n_bounds
+    with pytest.raises(UnsupportedDimensionError):
+        initialize(BENCH.space, LADDER, seed=0, variant="nsga2", objective_bounds=bounds)
+    with pytest.raises(UnsupportedDimensionError):
+        run(
+            BENCH.space, LADDER, "nsga2", objective, StoppingCriteria(max_tae=60), 0,
+            objective_bounds=bounds,
+        )
+    assert calls == []
 
 
 # ----------------------------------------------------------------- promote
@@ -251,6 +270,21 @@ def test_evaluation_failures_are_wrapped():
             StoppingCriteria(max_tae=5), 0,
             objective_bounds=BENCH.objective_bounds,
         )
+
+
+@pytest.mark.parametrize("objectives", [0.5, [0.5], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+def test_objective_vectors_must_hold_two_values(objectives):
+    def objective(genotype, fidelity):
+        return objectives, 1.0
+
+    stop = StoppingCriteria(max_tae=60)
+    with pytest.raises(EvaluationError, match="expected two objectives"):
+        run(
+            BENCH.space, LADDER, "nsga2", objective, stop, 0,
+            objective_bounds=BENCH.objective_bounds,
+        )
+    with pytest.raises(EvaluationError, match="expected two objectives"):
+        run_random_search(BENCH.space, LADDER, objective, stop, 0)
 
 
 def test_run_is_invariant_to_scaling_objectives_and_bounds():
