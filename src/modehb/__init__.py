@@ -37,7 +37,7 @@ from .optimizer import (
     tae_budget,
 )
 from .scheduler import BracketPlan, FidelityLadder, bracket_plan, build_ladder, dehb_iteration_plan
-from .space import ParameterSpec, SearchSpace, decode, encode_sample, space_from_json
+from .space import ParameterSpec, SearchSpace, decode, encode_sample
 
 __version__ = "0.1.0"
 
@@ -83,6 +83,5 @@ __all__ = [
     "run_random_search",
     "scheduler",
     "space",
-    "space_from_json",
     "tae_budget",
 ]

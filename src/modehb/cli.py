@@ -121,12 +121,11 @@ def _resolve(config: dict):
         benchmark = bench.make_benchmark(config["benchmark"]["name"], ladder, **params)
     except ModehbError as exc:
         raise _UsageError(str(exc)) from exc
-    stop_cfg = dict(config.get("stop", {}))
-    if stop_cfg.get("max_tae") is None:
-        stop_cfg["max_tae"] = tae_budget(len(benchmark.space))
-    stop = StoppingCriteria(
-        max_tae=stop_cfg["max_tae"], max_wallclock=stop_cfg.get("max_wallclock")
-    )
+    stop_cfg = config.get("stop", {})
+    max_tae, max_wallclock = stop_cfg.get("max_tae"), stop_cfg.get("max_wallclock")
+    if max_tae is None and max_wallclock is None:
+        max_tae = tae_budget(len(benchmark.space))
+    stop = StoppingCriteria(max_tae=max_tae, max_wallclock=max_wallclock)
     resolved = dict(config)
     resolved["stop"] = {
         "max_tae": stop.max_tae,
@@ -321,9 +320,16 @@ def _load_runs(out_dir: Path):
         opt_names = [o["name"] for o in config["optimizers"]]
         seeds, best = config["seeds"], float(summary["empirical_best_hv"])
         entries = [(e["optimizer"], e["seed"], e["archive"]) for e in summary["runs"]]
+        listed = {(name, seed) for name, seed, _ in entries}
+        for name in opt_names:
+            for seed in seeds:
+                if (name, seed) not in listed:
+                    raise _UsageError(
+                        f"{summary_path}: runs lists no {name} run for seed {seed}"
+                    )
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{summary_path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(
             f"{summary_path}: malformed summary ({type(exc).__name__}: {exc})"
         ) from exc

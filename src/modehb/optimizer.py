@@ -26,6 +26,13 @@ then up to ``MAX_DRAWS`` uniform genotypes (``encode_sample``).  The first
 unseen draw is evaluated; if every draw repeats, the last one is, so each
 slot spends exactly one evaluation.  A child that is new on its first draw
 uses the same RNG draws as plain DE.
+
+Both optimizers are generators of proposals: each yields a ``(genotype,
+fidelity)`` pair and is sent the ``EvaluationRecord`` of its evaluation.
+One driver, ``_trajectory``, evaluates them and owns the archive and the
+stop.  It takes the next proposal first and checks the stop after, so the
+draw that meets an exhausted budget is still drawn, then discarded
+unevaluated.
 """
 
 from __future__ import annotations
@@ -99,20 +106,6 @@ class EvaluationRecord:
     cost: float
 
 
-class _BudgetExhausted(Exception):
-    def __init__(self, cause: str):
-        super().__init__(cause)
-        self.cause = cause
-
-
-@dataclass
-class _Archive:
-    """Evaluation records in seq order and their summed reported cost."""
-
-    records: list[EvaluationRecord] = field(default_factory=list)
-    cost: float = 0.0
-
-
 @dataclass
 class OptimizerState:
     """Mutable per-run state shared by the rung-evolution steps.
@@ -140,12 +133,7 @@ class OptimizerState:
     owners: np.ndarray
     seqs: np.ndarray
     parent_pool: dict[float, np.ndarray] = field(default_factory=dict)
-    archive: _Archive = field(default_factory=_Archive)
     seen: set[tuple] = field(default_factory=set)
-
-    @property
-    def capacities(self) -> dict[float, int]:
-        return {level: len(rows) for level, rows in self.rows.items()}
 
     def store(self, row: int, record: EvaluationRecord):
         """Make the evaluated record the member held in ``row``; the spare
@@ -157,19 +145,6 @@ class OptimizerState:
             self.owners[row] = record.fidelity
         self.objectives[row] = record.objectives
         self.seqs[row] = record.seq
-
-    def evaluate(
-        self, objective_fn, genotype, fidelity, stop, key: tuple | None = None
-    ) -> EvaluationRecord:
-        """``_evaluate`` into the run's archive, marking the pair as seen.
-
-        ``key`` is the genotype's ``config_key`` if the caller has it.
-        """
-        record = _evaluate(self.archive, objective_fn, genotype, fidelity, stop)
-        if key is None:
-            key = config_key(self.space, genotype)
-        self.seen.add((key, record.fidelity))
-        return record
 
 
 def initialize(
@@ -225,13 +200,8 @@ def promote(objectives, genotypes, k: int, variant: str) -> np.ndarray:
     return genotypes[rank_and_truncate(objectives, k, VARIANTS[variant])]
 
 
-def _evaluate(
-    archive: _Archive, objective_fn, genotype, fidelity, stop
-) -> EvaluationRecord:
-    """The one evaluation path: stop check, call, validation, bookkeeping."""
-    cause = stop.cause_if_tripped(len(archive.records), archive.cost)
-    if cause is not None:
-        raise _BudgetExhausted(cause)
+def _evaluate(objective_fn, genotype, fidelity, seq: int) -> EvaluationRecord:
+    """The one evaluation path: call, validation, record."""
     try:
         objectives, cost = objective_fn(genotype, fidelity)
     except Exception as exc:
@@ -245,16 +215,13 @@ def _evaluate(
         )
     if not np.isfinite(objectives).all():
         raise EvaluationError(f"non-finite objectives {objectives}")
-    record = EvaluationRecord(
-        seq=len(archive.records) + 1,
+    return EvaluationRecord(
+        seq=seq,
         genotype=np.array(genotype, dtype=float, copy=True),
         fidelity=float(fidelity),
         objectives=objectives,
         cost=float(cost),
     )
-    archive.records.append(record)
-    archive.cost += record.cost
-    return record
 
 
 def _fill_ins(state: OptimizerState, fidelity: float):
@@ -331,16 +298,16 @@ def _draw_child(
     return child, key
 
 
-def evolve_rung(
-    state: OptimizerState, fidelity: float, objective_fn, stop, n_slots: int | None = None
-):
-    """One DE pass over the sub-population at the given fidelity.
+def evolve_rung(state: OptimizerState, fidelity: float, n_slots: int | None = None):
+    """One DE pass over the sub-population at the given fidelity, as a
+    generator of proposals.
 
     ``n_slots`` is the rung's planned evaluation count (defaults to the
     sub-population size); when it exceeds the capacity the targets cycle
     through the members again, so every bracket spends its proper
     successive-halving budget regardless of the frozen capacities.  Each
-    slot evaluates one child, redrawn to avoid repeats (module docstring).
+    slot proposes one child, redrawn to avoid repeats (module docstring),
+    and runs survivor selection once its record is sent back.
     """
     rows = state.rows[fidelity]
     if n_slots is None:
@@ -348,7 +315,8 @@ def evolve_rung(
     for raw_slot in range(n_slots):
         row = rows[raw_slot % len(rows)]
         child, key = _draw_child(state, row, fidelity)
-        record = state.evaluate(objective_fn, child, fidelity, stop, key)
+        record = yield child, fidelity
+        state.seen.add((key, record.fidelity))
         _apply_selection(state, row, record)
 
 
@@ -360,37 +328,73 @@ def _promote_level(state: OptimizerState, level: float, k: int) -> np.ndarray:
     )
 
 
-def _vanilla_bracket(state: OptimizerState, bracket: BracketPlan, objective_fn, stop):
+def _fill_rows(state: OptimizerState, level: float, genotypes):
+    """Propose ``genotypes`` at ``level``, each stored in the next row of
+    that level's sub-population.  None was drawn, so each takes its
+    ``config_key`` once its record arrives."""
+    for row, genotype in zip(state.rows[level], genotypes):
+        record = yield genotype, level
+        state.seen.add((config_key(state.space, genotype), record.fidelity))
+        state.store(row, record)
+
+
+def _vanilla_bracket(state: OptimizerState, bracket: BracketPlan):
     """First bracket: evaluate the random init, promote, fill upwards."""
     b_min, _ = bracket.rungs[0]
-    for row in state.rows[b_min]:
-        genotype = state.genotypes[row]
-        state.store(row, state.evaluate(objective_fn, genotype, b_min, stop))
+    yield from _fill_rows(state, b_min, state.genotypes[state.rows[b_min]])
     for (level, _), (nxt, n_nxt) in zip(bracket.rungs, bracket.rungs[1:]):
         state.parent_pool[nxt] = _promote_level(state, level, n_nxt)
-        for row, g in zip(state.rows[nxt], state.parent_pool[nxt]):
-            state.store(row, state.evaluate(objective_fn, g, nxt, stop))
+        yield from _fill_rows(state, nxt, state.parent_pool[nxt])
 
 
-def _de_bracket(state: OptimizerState, bracket: BracketPlan, objective_fn, stop):
+def _de_bracket(state: OptimizerState, bracket: BracketPlan):
     for i, (level, n_configs) in enumerate(bracket.rungs):
-        evolve_rung(state, level, objective_fn, stop, n_configs)
+        yield from evolve_rung(state, level, n_configs)
         if i + 1 < len(bracket.rungs):
             nxt, n_nxt = bracket.rungs[i + 1]
             state.parent_pool[nxt] = _promote_level(state, level, n_nxt)
 
 
+def _mo_dehb(state: OptimizerState, plan: list[BracketPlan]):
+    """MO-DEHB's proposals, one DEHB iteration after another; only the
+    opening bracket starts from unevaluated sub-populations."""
+    fill = _vanilla_bracket
+    while True:
+        state.parent_pool.clear()
+        for bracket in plan:
+            yield from fill(state, bracket)
+            fill = _de_bracket
+
+
+def _random_search(space: SearchSpace, ladder: FidelityLadder, seed: int):
+    """Uniform random genotypes, each proposed at b_max."""
+    rng = derive_rng(seed, "optimizer")
+    while True:
+        yield encode_sample(space, rng), ladder.levels[-1]
+
+
 def _trajectory(
-    archive: _Archive, step, seed: int, optimizer: str, ladder, benchmark_name: str
+    proposals,
+    objective_fn,
+    stop: StoppingCriteria,
+    seed: int,
+    optimizer: str,
+    ladder,
+    benchmark_name: str,
 ) -> RunTrajectory:
-    """Repeat ``step`` until the budget trips; return the seq-ordered archive."""
-    try:
-        while True:
-            step()
-    except _BudgetExhausted as exhausted:
-        stop_cause = exhausted.cause
+    """The one driver: evaluate each proposal and send its record back
+    until the stop trips; return the seq-ordered archive."""
+    records: list[EvaluationRecord] = []
+    cost = 0.0
+    genotype, fidelity = next(proposals)
+    while (stop_cause := stop.cause_if_tripped(len(records), cost)) is None:
+        record = _evaluate(objective_fn, genotype, fidelity, len(records) + 1)
+        records.append(record)
+        cost += record.cost
+        genotype, fidelity = proposals.send(record)
+    proposals.close()
     return RunTrajectory(
-        records=tuple(archive.records),
+        records=tuple(records),
         metadata=RunMetadata(
             seed=seed,
             optimizer=optimizer,
@@ -421,17 +425,9 @@ def run(
     reference point of its hypervolume tie-break.
     """
     state = initialize(space, ladder, seed, variant, de_params, objective_bounds)
-    plan = dehb_iteration_plan(ladder)
-
-    def iteration():
-        state.parent_pool.clear()
-        for bracket in plan:
-            # Only the opening bracket starts from an empty archive.
-            fill = _de_bracket if state.archive.records else _vanilla_bracket
-            fill(state, bracket, objective_fn, stop)
-
+    proposals = _mo_dehb(state, dehb_iteration_plan(ladder))
     return _trajectory(
-        state.archive, iteration, seed, f"modehb_{variant}", ladder, benchmark_name
+        proposals, objective_fn, stop, seed, f"modehb_{variant}", ladder, benchmark_name
     )
 
 
@@ -446,14 +442,11 @@ def run_random_search(
 ) -> RunTrajectory:
     """Uniform random sampling evaluated at b_max only (the baseline).
 
-    Each step draws its genotype before the stop check, so the draw that
-    meets the exhausted budget is discarded unevaluated.
+    Its proposals go through the same driver as MO-DEHB's, so each
+    genotype is drawn before the stop check, and the draw that meets the
+    exhausted budget is discarded unevaluated.
     """
-    rng = derive_rng(seed, "optimizer")
-    archive = _Archive()
-
-    def step():
-        genotype = encode_sample(space, rng)
-        _evaluate(archive, objective_fn, genotype, ladder.levels[-1], stop)
-
-    return _trajectory(archive, step, seed, "random_search", ladder, benchmark_name)
+    proposals = _random_search(space, ladder, seed)
+    return _trajectory(
+        proposals, objective_fn, stop, seed, "random_search", ladder, benchmark_name
+    )

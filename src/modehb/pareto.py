@@ -41,15 +41,6 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def dominates(a, b) -> bool:
-    """True iff a weakly dominates b and is strictly better somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
 def _domination_matrix(pts: np.ndarray) -> np.ndarray:
     """dom[i, j] == True iff point i dominates point j."""
     leq = np.ones((len(pts), len(pts)), dtype=bool)
@@ -119,14 +110,6 @@ def non_dominated_sort(points) -> list[list[int]]:
         raise EmptyPopulationError("cannot sort an empty population")
     pts = _as_points(pts)
     return _sweep_fronts(pts) if pts.shape[1] == 2 else _peel_fronts(pts)
-
-
-def front_ranks(points) -> np.ndarray:
-    """1-based front rank per point (rank 1 == non-dominated)."""
-    ranks = np.empty(len(np.asarray(points)), dtype=int)
-    for r, front in enumerate(non_dominated_sort(points), start=1):
-        ranks[front] = r
-    return ranks
 
 
 def crowding_distance(front) -> np.ndarray:

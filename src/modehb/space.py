@@ -3,13 +3,12 @@
 Optimizers operate exclusively on genotypes in [0, 1]^d; this module maps
 them onto typed hyperparameter values.  Continuous parameters use a linear
 (or log-linear) map, integers round the continuous map to the nearest
-value, and categorical/ordinal parameters split the unit interval into k
+value, and categorical parameters split the unit interval into k
 equal-width bins.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-KINDS = ("continuous", "integer", "categorical", "ordinal")
+KINDS = ("continuous", "integer", "categorical")
 
 
 @dataclass(frozen=True)
@@ -27,13 +26,11 @@ class ParameterSpec:
 
     Args:
         name: Unique parameter name.
-        kind: One of ``continuous``, ``integer``, ``categorical``,
-            ``ordinal``.
+        kind: One of ``continuous``, ``integer``, ``categorical``.
         lower: Lower bound (continuous/integer only).
         upper: Upper bound (continuous/integer only).
         log: Sample on a log scale (requires ``lower > 0``).
-        choices: Value list for categorical/ordinal parameters; ordinal
-            choices are treated as already ordered.
+        choices: Value list for categorical parameters.
     """
 
     name: str
@@ -107,7 +104,7 @@ def _choice(choices: tuple, c: float):
 
 def _decoder(spec: ParameterSpec):
     """The map from one genotype component to the parameter's value."""
-    if spec.kind in ("categorical", "ordinal"):
+    if spec.kind == "categorical":
         return partial(_choice, spec.choices)
     if spec.log:
         lo, hi = math.log(spec.lower), math.log(spec.upper)
@@ -144,28 +141,3 @@ def config_key(space: SearchSpace, genotype) -> tuple:
     """
     values = np.asarray(genotype, dtype=float).tolist()
     return tuple([decode_value(c) for decode_value, c in zip(space.decoders, values)])
-
-
-def space_from_json(doc) -> SearchSpace:
-    """Build a SearchSpace from a JSON array (or its parsed form).
-
-    Each entry is an object with fields ``name``, ``kind`` and, depending
-    on the kind, ``lower``/``upper``/``log`` or ``choices``.
-    """
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
-    if not isinstance(doc, list):
-        raise ValueError("space document must be a JSON array")
-    params = []
-    for entry in doc:
-        params.append(
-            ParameterSpec(
-                name=entry["name"],
-                kind=entry["kind"],
-                lower=entry.get("lower"),
-                upper=entry.get("upper"),
-                log=bool(entry.get("log", False)),
-                choices=tuple(entry.get("choices", ())),
-            )
-        )
-    return SearchSpace(tuple(params))

@@ -118,6 +118,26 @@ def test_default_stop_uses_budget_formula(tmp_path):
     assert summary["config"]["stop"]["max_tae"] == 134
 
 
+def test_wallclock_only_stop_keeps_no_default_tae(tmp_path):
+    # zdt1_mf d=6 would default to 216 evaluations, which cost 1,278 s on
+    # this ladder; a lone max_wallclock must be the limit that stops the run.
+    out = tmp_path / "out"
+    config = base_config(out)
+    config["benchmark"] = {"name": "zdt1_mf", "d": 6}
+    config["ladder"] = {"b_min": 1, "b_max": 27, "eta": 3}
+    config["optimizers"] = [{"name": "modehb_nsga2"}]
+    config["seeds"] = [0]
+    config["stop"] = {"max_wallclock": 2000}
+    assert cli.main(["run", str(write_config(tmp_path, config))]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["stop"] == {"max_tae": None, "max_wallclock": 2000}
+    metrics_doc = json.loads((out / "modehb_nsga2_seed0_metrics.json").read_text())
+    assert metrics_doc["stop_cause"] == "max_wallclock"
+    assert metrics_doc["cumulative_cost"] >= 2000
+    assert metrics_doc["tae"] > 216
+    assert cli.main(["report", str(out)]) == 0
+
+
 def test_run_usage_errors(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
@@ -352,6 +372,19 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     broken_copy("no_archive", lambda out: (out / archive).unlink())
     broken_copy("bad_json", lambda out: (out / "summary.json").write_text("{", "utf-8"))
     broken_copy("no_key", lambda out: (out / "summary.json").write_text("{}", "utf-8"))
+
+    def edit_summary(change):
+        def break_it(out):
+            summary = json.loads((out / "summary.json").read_text("utf-8"))
+            change(summary)
+            (out / "summary.json").write_text(json.dumps(summary), "utf-8")
+        return break_it
+
+    # Runs that omit a pair the config names, and a stop no run could use.
+    no_last_run = edit_summary(lambda summary: summary["runs"].pop())
+    assert "summary.json" in broken_copy("no_last_run", no_last_run)
+    zero_max_tae = edit_summary(lambda summary: summary["config"]["stop"].update(max_tae=0))
+    assert "summary.json" in broken_copy("zero_max_tae", zero_max_tae)
     for name, row in (("bad_row", "3,4,oops"), ("short_row", "3,4")):
         broken_copy(name, lambda out: (out / archive).write_text(
             (out / archive).read_text("utf-8") + row + "\n", "utf-8"))

@@ -11,6 +11,8 @@ from modehb.errors import EvaluationError, NormalizationError, UnsupportedDimens
 from modehb.optimizer import (
     EvaluationRecord,
     StoppingCriteria,
+    _evaluate,
+    _fill_rows,
     _vanilla_bracket,
     derive_rng,
     evolve_rung,
@@ -21,7 +23,7 @@ from modehb.optimizer import (
     tae_budget,
 )
 from modehb.scheduler import build_ladder, dehb_iteration_plan
-from modehb.space import decode
+from modehb.space import config_key, decode
 
 LADDER = build_ladder(1, 9, 3)
 BENCH = zdt1_mf(3, LADDER)
@@ -38,6 +40,19 @@ def small_run(variant="nsga2", seed=0, max_tae=40):
         objective_bounds=BENCH.objective_bounds,
         benchmark_name=BENCH.name,
     )
+
+
+def drive(records, objective_fn, proposals):
+    """Evaluate every proposal of a finite generator, sending each record
+    back; the records are appended to ``records`` in seq order."""
+    record = None
+    while True:
+        try:
+            genotype, fidelity = proposals.send(record)
+        except StopIteration:
+            return
+        record = _evaluate(objective_fn, genotype, fidelity, len(records) + 1)
+        records.append(record)
 
 
 # ----------------------------------------------------------- rng and budget
@@ -80,9 +95,11 @@ def test_stopping_criteria_validation():
 
 def test_initialize_freezes_first_bracket_capacities():
     state = initialize(BENCH.space, LADDER, seed=0, variant="nsga2")
-    assert state.capacities == {1.0: 9, 3.0: 3, 9.0: 1}
+    sizes = {level: len(rows) for level, rows in state.rows.items()}
+    assert sizes == {1.0: 9, 3.0: 3, 9.0: 1}
     big = initialize(BENCH.space, build_ladder(1, 27, 3), seed=0, variant="epsnet")
-    assert big.capacities == {1.0: 27, 3.0: 9, 9.0: 3, 27.0: 1}
+    sizes = {level: len(rows) for level, rows in big.rows.items()}
+    assert sizes == {1.0: 27, 3.0: 9, 9.0: 3, 27.0: 1}
 
 
 def test_initialize_samples_lowest_subpopulation_unevaluated():
@@ -95,7 +112,7 @@ def test_initialize_samples_lowest_subpopulation_unevaluated():
     assert not state.genotypes[9:].any()
     # No row is evaluated yet.
     assert not state.seqs.any() and np.isnan(state.objectives).all()
-    assert state.archive.records == []
+    assert state.seen == set()
     again = initialize(BENCH.space, LADDER, seed=3, variant="nsga2")
     assert np.array_equal(state.genotypes, again.genotypes)
 
@@ -163,7 +180,7 @@ def test_promote_selects_top_ranked_genotypes():
 def test_parent_pool_keeps_promoted_genotypes_when_rows_change():
     state = initialize(BENCH.space, LADDER, seed=0, variant="nsga2")
     opening = dehb_iteration_plan(LADDER)[0]
-    _vanilla_bracket(state, opening, BENCH.evaluate, StoppingCriteria(max_tae=100))
+    drive([], BENCH.evaluate, _vanilla_bracket(state, opening))
     assert set(state.parent_pool) == {3.0, 9.0}
     before = {level: np.array(pool) for level, pool in state.parent_pool.items()}
     state.genotypes[:] = -1.0
@@ -308,6 +325,28 @@ def test_run_is_invariant_to_scaling_objectives_and_bounds():
             assert np.array_equal(4.0 * rp.objectives, rb.objectives)
 
 
+@pytest.mark.parametrize("optimizer_name", ["nsga2", "epsnet", "random_search"])
+def test_shorter_budget_is_a_prefix(optimizer_name):
+    # The driver only truncates: a budget changes where a run stops, never
+    # what it proposes before that.
+    def archive(max_tae):
+        stop = StoppingCriteria(max_tae=max_tae)
+        if optimizer_name == "random_search":
+            return run_random_search(BENCH.space, LADDER, BENCH.evaluate, stop, 3)
+        return run(
+            BENCH.space, LADDER, optimizer_name, BENCH.evaluate, stop, 3,
+            objective_bounds=BENCH.objective_bounds,
+        )
+
+    n = 37
+    short, long = archive(n).records, archive(2 * n).records
+    assert len(short) == n and len(long) == 2 * n
+    for rs, rl in zip(short, long[:n], strict=True):
+        assert rs.seq == rl.seq and rs.fidelity == rl.fidelity and rs.cost == rl.cost
+        assert np.array_equal(rs.genotype, rl.genotype)
+        assert np.array_equal(rs.objectives, rl.objectives)
+
+
 def test_run_keeps_going_for_multiple_iterations():
     # 3 full DEHB sweeps of ladder (1, 9, 3) cost 22 evaluations each
     # after the opening one; a large budget must keep cycling, not stall.
@@ -321,25 +360,32 @@ def test_run_keeps_going_for_multiple_iterations():
 
 
 def _grid_state(k):
-    """toy_grid k x k on ladder (1, 4, 2); every member holds cell (0, 0)."""
+    """toy_grid k x k on ladder (1, 4, 2); every member holds cell (0, 0).
+
+    Returns the benchmark, the state and the list of records so far."""
     ladder = build_ladder(1, 4, 2)
     grid = toy_grid(k, ladder)
-    stop = StoppingCriteria(max_tae=10_000)
     state = initialize(
         grid.space, ladder, 0, "nsga2", objective_bounds=grid.objective_bounds
     )
     corner = np.full(2, 0.5 / k)
+    records = []
     for level, rows in state.rows.items():
-        for row in rows:
-            state.store(row, state.evaluate(grid.evaluate, corner, level, stop))
-    return grid, state, stop
+        drive(records, grid.evaluate, _fill_rows(state, level, [corner] * len(rows)))
+    return grid, state, records
 
 
-def _evaluate_cells(grid, state, stop, cells, fidelity):
+def _evaluate_cells(grid, state, records, cells, fidelity):
+    """Evaluate the cells at ``fidelity``, marking each as seen."""
     k = len(grid.space.params[0].choices)
-    for cell in cells:
-        genotype = (np.asarray(cell) + 0.5) / k
-        state.evaluate(grid.evaluate, genotype, fidelity, stop)
+
+    def proposals():
+        for cell in cells:
+            genotype = (np.asarray(cell) + 0.5) / k
+            record = yield genotype, fidelity
+            state.seen.add((config_key(state.space, genotype), record.fidelity))
+
+    drive(records, grid.evaluate, proposals())
 
 
 def _configs(space, records):
@@ -347,17 +393,17 @@ def _configs(space, records):
 
 
 def test_evolve_rung_children_avoid_evaluated_configurations():
-    grid, state, stop = _grid_state(32)
+    grid, state, records = _grid_state(32)
     # A pool of identical genotypes makes every plain rand/1/bin child of a
     # corner member the corner itself, a repeat.
     corner = state.genotypes[0].copy()
     state.parent_pool[1.0] = [corner] * 3
     # The archive also holds a 4 x 4 block of cells at the lowest fidelity.
     block = [(i, j) for i in range(4) for j in range(4)]
-    _evaluate_cells(grid, state, stop, block, 1.0)
-    before = len(state.archive.records)
-    evolve_rung(state, 1.0, grid.evaluate, stop, n_slots=8)
-    configs = _configs(grid.space, state.archive.records)
+    _evaluate_cells(grid, state, records, block, 1.0)
+    before = len(records)
+    drive(records, grid.evaluate, evolve_rung(state, 1.0, n_slots=8))
+    configs = _configs(grid.space, records)
     children = configs[before:]
     assert len(children) == 8
     assert not set(children) & set(configs[:before])
@@ -365,15 +411,15 @@ def test_evolve_rung_children_avoid_evaluated_configurations():
 
 
 def test_evolve_rung_spends_every_slot_once_all_configurations_are_seen():
-    grid, state, stop = _grid_state(4)
+    grid, state, records = _grid_state(4)
     every_cell = [(i, j) for i in range(4) for j in range(4)]
-    _evaluate_cells(grid, state, stop, every_cell, 1.0)
-    before = len(state.archive.records)
-    evolve_rung(state, 1.0, grid.evaluate, stop, n_slots=5)
-    children = state.archive.records[before:]
+    _evaluate_cells(grid, state, records, every_cell, 1.0)
+    before = len(records)
+    drive(records, grid.evaluate, evolve_rung(state, 1.0, n_slots=5))
+    children = records[before:]
     assert len(children) == 5
     assert all(rec.fidelity == 1.0 for rec in children)
-    seen = set(_configs(grid.space, state.archive.records[:before]))
+    seen = set(_configs(grid.space, records[:before]))
     assert set(_configs(grid.space, children)) <= seen
 
 

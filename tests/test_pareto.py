@@ -1,4 +1,4 @@
-"""Tests for dominance, sorting, ranking, and hypervolume primitives.
+"""Tests for sorting, ranking, and hypervolume primitives.
 
 Expected values come from the brute-force oracles in oracles.py or from
 hand arithmetic recorded inline.
@@ -16,36 +16,13 @@ from modehb.pareto import (
     RANKING_STRATEGIES,
     _peel_fronts,
     crowding_distance,
-    dominates,
     epsnet_order,
-    front_ranks,
     hv_contributions,
     hypervolume,
     non_dominated_sort,
     rank_and_truncate,
 )
-from oracles import dominates_bf, hv_grid, hv_inclusion_exclusion, nds_bf
-
-
-# ---------------------------------------------------------------- dominance
-
-
-def test_dominates_hand_cases():
-    assert dominates((1, 2), (2, 3))
-    assert not dominates((1, 2), (1, 2))
-    assert not dominates((1, 3), (2, 2))
-    assert not dominates((2, 2), (1, 3))
-    # Weak improvement in one coordinate is enough.
-    assert dominates((1, 2), (1, 3))
-
-
-def test_dominates_matches_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        m = int(rng.integers(2, 4))
-        a, b = rng.uniform(size=m), rng.uniform(size=m)
-        assert dominates(a, b) == dominates_bf(a, b)
-        assert not (dominates(a, b) and dominates(b, a))
+from oracles import hv_grid, hv_inclusion_exclusion, nds_bf
 
 
 # --------------------------------------------------------------------- NDS
@@ -125,12 +102,6 @@ def test_nds_two_objective_signed_zeros_are_duplicates():
                     [-0.0, -0.0], [0.0, 0.0], [1.0, 1.0]])
     _assert_both_paths(pts)
     assert non_dominated_sort(pts) == [[4, 5], [0, 1, 2, 3], [6]]
-
-
-def test_front_ranks_one_based():
-    pts = np.array([[1, 1], [2, 2], [1.5, 0.5]], dtype=float)
-    ranks = front_ranks(pts)
-    assert list(ranks) == [1, 2, 1]
 
 
 # ---------------------------------------------------------------- crowding

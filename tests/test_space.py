@@ -1,7 +1,5 @@
 """Tests for the search-space encoding and decoding layer."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from modehb.space import (
     SearchSpace,
     decode,
     encode_sample,
-    space_from_json,
 )
 
 
@@ -117,18 +114,3 @@ def test_encode_sample_uniform_and_deterministic():
         [encode_sample(space, np.random.default_rng(0)) for _ in range(1)]
     )
     assert np.array_equal(draws[0], again[0])
-
-
-def test_space_from_json_round_trip():
-    doc = [
-        {"name": "lr", "kind": "continuous", "lower": 1e-4, "upper": 1.0, "log": True},
-        {"name": "act", "kind": "categorical", "choices": ["relu", "tanh"]},
-        {"name": "n", "kind": "integer", "lower": 1, "upper": 8},
-    ]
-    space = space_from_json(json.dumps(doc))
-    assert len(space) == 3
-    assert space.params[0].log is True
-    assert space.params[1].choices == ("relu", "tanh")
-    assert decode(space, [0.0, 0.0, 1.0]) == {"lr": pytest.approx(1e-4), "act": "relu", "n": 8}
-    with pytest.raises(ValueError):
-        space_from_json('{"name": "oops"}')
