@@ -240,6 +240,8 @@ def cmd_run(config_path: str, workers: int = 1) -> int:
         for opt_entry in config["optimizers"]
         for seed in config["seeds"]
     ]
+    # A pool forks all of its workers up front, so it gets no more than jobs.
+    workers = min(workers, len(jobs))
     try:
         if workers > 1:
             # Imported here: it adds ~16 ms to every command that needs no pool.
@@ -316,6 +318,7 @@ def _load_runs(out_dir: Path):
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         config = summary["config"]
+        _check(config, CONFIG_RULES, f"{summary_path}: $.config")
         ladder, benchmark, _, _ = _resolve(config)
         opt_names = [o["name"] for o in config["optimizers"]]
         seeds, best = config["seeds"], float(summary["empirical_best_hv"])

@@ -46,10 +46,10 @@ class DEParams:
 
 def rand1_combine(r1, r2, r3, scaling_factor: float) -> np.ndarray:
     """rand/1 mutant r1 + F * (r2 - r3), clipped to [0, 1]."""
-    mutant = np.asarray(r1, dtype=float) + scaling_factor * (
-        np.asarray(r2, dtype=float) - np.asarray(r3, dtype=float)
-    )
-    return mutant.clip(0.0, 1.0)
+    mutant = np.subtract(r2, r3, dtype=float)
+    mutant *= scaling_factor
+    mutant += r1
+    return mutant.clip(0.0, 1.0, out=mutant)
 
 
 def mutate_rand1(pool, params: DEParams, rng: np.random.Generator) -> np.ndarray:
@@ -115,9 +115,7 @@ def mo_selection(
     Raises:
         SelectionError: On malformed indices or mismatched fidelities.
     """
-    objectives = np.asarray(objectives, dtype=float)
-    owners = np.asarray(owners)
-    seqs = np.asarray(seqs)
+    objectives = _as_points(objectives)
     n_rows = len(objectives)
     if not (0 <= parent < n_rows and 0 <= offspring < n_rows) or parent == offspring:
         raise SelectionError(f"invalid parent/offspring rows {parent}, {offspring}")
@@ -127,21 +125,27 @@ def mo_selection(
         raise SelectionError(
             "parent and offspring must be evaluated at the same fidelity"
         )
-    objectives = _as_points(objectives)
 
     # Step 1 (see the module docstring): when exactly one of the two weakly
     # dominates the other, it dominates it.
-    p, o = objectives[parent], objectives[offspring]
-    p_le_o = all(map(operator.le, p.tolist(), o.tolist()))
-    o_le_p = all(map(operator.le, o.tolist(), p.tolist()))
+    p, o = objectives[parent].tolist(), objectives[offspring].tolist()
+    p_le_o = all(map(operator.le, p, o))
+    o_le_p = all(map(operator.le, o, p))
     if p_le_o != o_le_p:
         return offspring if p_le_o else parent
     # Step 2: the rows weakly dominating either one (the two themselves and
     # their duplicates included) are all that the two ranks depend on.
-    below = (objectives <= p).all(axis=1) | (objectives <= o).all(axis=1)
-    rows = np.flatnonzero(below).tolist()
+    # Compared column by column, in place: cheaper than .all(axis=1).
+    cols = objectives.T
+    below, below_o = cols[0] <= p[0], cols[0] <= o[0]
+    for k in range(1, len(p)):
+        below &= cols[k] <= p[k]
+        below_o &= cols[k] <= o[k]
+    below |= below_o
+    below = below.nonzero()[0]
+    rows = below.tolist()
     p_at, o_at = rows.index(parent), rows.index(offspring)
-    for front in non_dominated_sort(objectives[below]):
+    for front in non_dominated_sort(objectives.take(below, axis=0)):
         if (p_at in front) != (o_at in front):
             return offspring if p_at in front else parent
         if p_at in front:

@@ -213,7 +213,7 @@ def _evaluate(objective_fn, genotype, fidelity, seq: int) -> EvaluationRecord:
         raise EvaluationError(
             f"objective vector of shape {objectives.shape}, expected two objectives"
         )
-    if not np.isfinite(objectives).all():
+    if not all(map(math.isfinite, objectives.tolist())):
         raise EvaluationError(f"non-finite objectives {objectives}")
     return EvaluationRecord(
         seq=seq,

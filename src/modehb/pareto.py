@@ -36,7 +36,8 @@ def _as_points(points) -> np.ndarray:
         raise DimensionError(f"expected a 2-D array of points, got shape {pts.shape}")
     if pts.shape[1] < 2:
         raise DimensionError("objective vectors need at least two components")
-    if not np.isfinite(pts).all():
+    # count_nonzero skips the Python-level wrapper of ndarray.all.
+    if np.count_nonzero(np.isfinite(pts)) != pts.size:
         raise ValueError("objective values must be finite")
     return pts
 
@@ -149,13 +150,19 @@ def epsnet_order(front) -> list[int]:
     order = [0]
     if m == 1:
         return order
+
+    def distances(i: int) -> np.ndarray:
+        # np.linalg.norm(pts - pts[i], axis=1)'s arithmetic, without its wrapper.
+        diff = pts - pts[i]
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))
+
     # min_dist[i] = distance of i to the closest ranked point so far.
-    min_dist = np.linalg.norm(pts - pts[0], axis=1)
+    min_dist = distances(0)
     min_dist[0] = -np.inf
     for _ in range(m - 1):
         best = int(np.argmax(min_dist))  # argmax takes the lowest index on ties
         order.append(best)
-        min_dist = np.minimum(min_dist, np.linalg.norm(pts - pts[best], axis=1))
+        np.minimum(min_dist, distances(best), out=min_dist)
         min_dist[best] = -np.inf
     return order
 

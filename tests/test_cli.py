@@ -105,6 +105,35 @@ def test_parallel_workers_match_sequential(tmp_path, run_dir):
         ).read_bytes()
 
 
+def test_workers_are_capped_at_the_number_of_runs(tmp_path, monkeypatch):
+    # A pool forks every worker up front: --workers 6 on two runs must ask
+    # for two processes, and on one run for none.
+    import concurrent.futures
+
+    real_pool = concurrent.futures.ProcessPoolExecutor
+    pools = []
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    for seeds, expected in (([0, 1], [2]), ([0], [])):
+        config = base_config(tmp_path / "serial")
+        config["optimizers"] = [{"name": "modehb_nsga2"}]
+        config["seeds"] = seeds
+        assert cli.main(["run", str(write_config(tmp_path, config))]) == 0
+        config["output_dir"] = str(tmp_path / "pooled")
+        assert cli.main(["run", str(write_config(tmp_path, config)), "--workers", "6"]) == 0
+        assert pools == expected
+        pools.clear()
+        for path in sorted((tmp_path / "serial").iterdir()):
+            pooled = (tmp_path / "pooled" / path.name).read_bytes()
+            if path.name == "summary.json":
+                pooled = pooled.replace(b"pooled", b"serial")
+            assert pooled == path.read_bytes()
+
+
 def test_default_stop_uses_budget_formula(tmp_path):
     out = tmp_path / "out"
     config = base_config(out)
@@ -385,6 +414,9 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     assert "summary.json" in broken_copy("no_last_run", no_last_run)
     zero_max_tae = edit_summary(lambda summary: summary["config"]["stop"].update(max_tae=0))
     assert "summary.json" in broken_copy("zero_max_tae", zero_max_tae)
+    # A config that `run` would refuse is blamed on the summary, not on a flag.
+    empty_seeds = edit_summary(lambda summary: summary["config"].update(seeds=[]))
+    assert "summary.json: $.config.seeds" in broken_copy("empty_seeds", empty_seeds)
     for name, row in (("bad_row", "3,4,oops"), ("short_row", "3,4")):
         broken_copy(name, lambda out: (out / archive).write_text(
             (out / archive).read_text("utf-8") + row + "\n", "utf-8"))
