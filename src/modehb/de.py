@@ -52,8 +52,31 @@ def rand1_combine(r1, r2, r3, scaling_factor: float) -> np.ndarray:
     return mutant.clip(0.0, 1.0, out=mutant)
 
 
+def distinct_indices(uniforms, n: int) -> list[int]:
+    """Map uniforms in [0, 1) to as many distinct indices below n.
+
+    The j-th uniform u (counting from 0) picks the floor(u * m)-th, clamped
+    below m, of the m = n - j indices not taken yet, by skipping the taken
+    ones in ascending order.  Independent uniforms thus give every ordered
+    tuple of distinct indices the same probability.
+    """
+    picked: list[int] = []
+    free = n
+    for u in uniforms:
+        i = min(int(u * free), free - 1)
+        for taken in sorted(picked):
+            if i >= taken:
+                i += 1
+        picked.append(i)
+        free -= 1
+    return picked
+
+
 def mutate_rand1(pool, params: DEParams, rng: np.random.Generator) -> np.ndarray:
     """Pick three distinct pool members uniformly and combine them.
+
+    Draw order (part of the determinism contract): one ``rng.random(3)``
+    block, mapped to the indices of r1, r2 and r3 by ``distinct_indices``.
 
     Raises:
         InsufficientParentsError: If the pool holds fewer than 3 genotypes
@@ -63,7 +86,7 @@ def mutate_rand1(pool, params: DEParams, rng: np.random.Generator) -> np.ndarray
         raise InsufficientParentsError(
             f"mutation needs 3 parents, pool has {len(pool)}"
         )
-    i1, i2, i3 = rng.choice(len(pool), size=3, replace=False)
+    i1, i2, i3 = distinct_indices(rng.random(3).tolist(), len(pool))
     return rand1_combine(pool[i1], pool[i2], pool[i3], params.scaling_factor)
 
 
@@ -72,16 +95,20 @@ def crossover_binomial(
 ) -> np.ndarray:
     """Binomial crossover; one uniformly chosen coordinate is always mutant.
 
-    Draw order (part of the determinism contract): first the forced
-    coordinate index, then one uniform per coordinate.
+    Draw order (part of the determinism contract): one ``rng.random(1 + d)``
+    block.  Its first uniform u picks the forced coordinate floor(u * d),
+    clamped below d (``distinct_indices``' map for one pick); coordinate i
+    takes the mutant's value when uniform 1 + i is below the crossover
+    probability.
     """
     target = np.asarray(target, dtype=float)
     mutant = np.asarray(mutant, dtype=float)
     if target.shape != mutant.shape:
         raise DimensionError(f"shape mismatch {target.shape} vs {mutant.shape}")
-    forced = rng.integers(len(target))
-    take = rng.random(len(target)) < params.crossover_prob
-    take[forced] = True
+    d = len(target)
+    uniforms = rng.random(1 + d)
+    take = uniforms[1:] < params.crossover_prob
+    take[min(int(uniforms[0] * d), d - 1)] = True
     return np.where(take, mutant, target)
 
 

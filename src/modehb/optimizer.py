@@ -20,12 +20,20 @@ already in the pool).
 Every benchmark here is deterministic, so a child whose decoded
 configuration (``space.config_key``) was already evaluated at the rung's
 fidelity is redrawn before it is evaluated.  Draw order per slot (part of
-the determinism contract): up to ``MAX_DRAWS`` DE draws, each one mutation
-pool, ``mutate_rand1`` and ``crossover_binomial`` against the same target;
-then up to ``MAX_DRAWS`` uniform genotypes (``encode_sample``).  The first
-unseen draw is evaluated; if every draw repeats, the last one is, so each
-slot spends exactly one evaluation.  A child that is new on its first draw
-uses the same RNG draws as plain DE.
+the determinism contract): up to ``MAX_DRAWS`` DE draws, then up to
+``MAX_DRAWS`` uniform genotypes (``encode_sample``, one ``rng.uniform``
+block of d).  A DE draw takes three blocks of ``rng.random`` uniforms:
+
+1. the mutation pool's fill-ins, one uniform per missing member (none when
+   the parent pool holds three or more), mapped to distinct candidates by
+   ``de.distinct_indices``;
+2. ``mutate_rand1``: three uniforms for r1, r2 and r3, mapped the same way;
+3. ``crossover_binomial`` against the slot's target: 1 + d uniforms, the
+   forced coordinate's and then the mask's.
+
+The first unseen draw is evaluated; if every draw repeats, the last one is,
+so each slot spends exactly one evaluation.  A child that is new on its
+first draw uses the same RNG draws as plain DE.
 
 Both optimizers are generators of proposals: each yields a ``(genotype,
 fidelity)`` pair and is sent the ``EvaluationRecord`` of its evaluation.
@@ -42,7 +50,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .de import DEParams, crossover_binomial, mo_selection, mutate_rand1
+from .de import (
+    DEParams,
+    crossover_binomial,
+    distinct_indices,
+    mo_selection,
+    mutate_rand1,
+)
 from .errors import EvaluationError, NormalizationError, UnsupportedDimensionError
 from .metrics import RunMetadata, RunTrajectory
 from .pareto import rank_and_truncate
@@ -245,14 +259,16 @@ def _mutation_pool(state: OptimizerState, pool, candidates) -> np.ndarray:
     """Per-target mutation pool: the parent pool topped up to three members.
 
     Fill-ins are drawn uniformly without replacement from ``candidates``
-    (see ``_fill_ins``); if even that runs dry (tiny ladders) fresh random
-    genotypes complete the pool.
+    (see ``_fill_ins``), one uniform each, mapped by ``distinct_indices``;
+    if even that runs dry (tiny ladders) fresh random genotypes complete
+    the pool.
     """
     if candidates is None:
         return pool
     take = min(3 - len(pool), len(candidates))
     if take > 0:
-        picked = candidates[state.rng.choice(len(candidates), size=take, replace=False)]
+        uniforms = state.rng.random(take).tolist()
+        picked = candidates.take(distinct_indices(uniforms, len(candidates)), axis=0)
         pool = np.concatenate([pool, picked]) if len(pool) else picked
     while len(pool) < 3:
         pool = np.vstack([pool, encode_sample(state.space, state.rng)])

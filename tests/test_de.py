@@ -1,5 +1,7 @@
 """Tests for the differential-evolution operators and survivor selection."""
 
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -100,18 +102,94 @@ def test_crossover_tiny_rate_keeps_only_forced_coordinate():
 
 
 def test_crossover_replays_documented_draw_order():
-    # One integers() call for the forced index, then one random() batch.
+    # One random(1 + d) block: the forced coordinate's uniform, then the mask.
     target = np.array([0.0, 0.0, 0.0, 0.0])
     mutant = np.array([0.1, 0.2, 0.3, 0.4])
     params = DEParams(scaling_factor=0.5, crossover_prob=0.5)
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        forced = int(rng.integers(4))
-        take = rng.random(4) < params.crossover_prob
-        take[forced] = True
+        uniforms = np.random.default_rng(seed).random(5)
+        take = uniforms[1:] < params.crossover_prob
+        take[int(uniforms[0] * 4)] = True
         expected = np.where(take, mutant, target)
         out = crossover_binomial(target, mutant, params, np.random.default_rng(seed))
         assert np.array_equal(out, expected)
+
+
+# ------------------------------------------------- uniforms to distinct indices
+
+
+class _Uniforms:
+    """Stands in for a Generator: random(n) returns the next n given uniforms."""
+
+    def __init__(self, uniforms):
+        self.left = list(uniforms)
+
+    def random(self, n):
+        drawn, self.left = self.left[:n], self.left[n:]
+        assert len(drawn) == n
+        return np.array(drawn)
+
+
+def _lattice(n, k, per_bin=2):
+    """Every k-tuple of bin midpoints, where axis j splits [0, 1) into
+    per_bin * (n - j) equal bins: each of the n - j free indices of pick j
+    owns per_bin of them."""
+    axes = [(np.arange(per_bin * (n - j)) + 0.5) / (per_bin * (n - j)) for j in range(k)]
+    return list(itertools.product(*(axis.tolist() for axis in axes)))
+
+
+def _assert_uniform_over_ordered_tuples(picks, n, k, per_bin=2):
+    counts = Counter(map(tuple, picks))
+    assert all(len(set(t)) == k and all(0 <= i < n for i in t) for t in counts)
+    assert len(counts) == math.perm(n, k)
+    assert set(counts.values()) == {per_bin**k}
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_mutate_rand1_maps_a_uniform_lattice_onto_every_ordered_triple(n):
+    # Row i is 0.25 + 0.5 e_i, so with F = 0.5 the mutant reads 0.75 at r1's
+    # index, 0.5 at r2's, 0 at r3's and 0.25 elsewhere.
+    pool = 0.25 + 0.5 * np.eye(n)
+    params = DEParams(scaling_factor=0.5)
+    picks = []
+    for uniforms in _lattice(n, 3):
+        mutant = mutate_rand1(pool, params, _Uniforms(uniforms))
+        picks.append([int(np.flatnonzero(mutant == v)[0]) for v in (0.75, 0.5, 0.0)])
+        assert picks[-1] == de.distinct_indices(uniforms, n)
+    _assert_uniform_over_ordered_tuples(picks, n, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_distinct_indices_lattice_for_one_and_two_picks(n):
+    # The mutation-pool top-up draws one or two fill-ins this way.
+    for k in (1, 2)[: min(n, 2)]:
+        picks = [de.distinct_indices(u, n) for u in _lattice(n, k)]
+        _assert_uniform_over_ordered_tuples(picks, n, k)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_crossover_forced_coordinate_lattice(d):
+    # With every mask uniform above CR, only the forced coordinate is mutant.
+    params = DEParams(crossover_prob=0.5)
+    forced = []
+    for (u,) in _lattice(d, 1):
+        out = crossover_binomial(np.zeros(d), np.ones(d), params, _Uniforms([u] + [0.9] * d))
+        forced.append(np.flatnonzero(out).tolist())
+    _assert_uniform_over_ordered_tuples(forced, d, 1)
+
+
+def test_uniform_mappings_stay_below_n_at_the_top_of_the_unit_interval():
+    top = float(np.nextafter(1.0, 0.0))
+    for n in range(1, 50):
+        for k in range(1, min(n, 3) + 1):
+            picks = de.distinct_indices([top] * k, n)
+            assert picks == list(range(n - 1, n - 1 - k, -1))
+    for d in range(1, 12):
+        out = crossover_binomial(
+            np.zeros(d), np.ones(d), DEParams(crossover_prob=0.5), _Uniforms([top] * (1 + d))
+        )
+        assert np.flatnonzero(out).tolist() == [d - 1]
+    assert de.distinct_indices([0.0, 0.0, 0.0], 5) == [0, 1, 2]
 
 
 def test_crossover_dimension_mismatch():

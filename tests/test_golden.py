@@ -37,19 +37,19 @@ CASES = {
 GOLDEN = {
     "toy_grid_k4": {
         "modehb_epsnet_seed0_archive.csv":
-            "cac2f5528a0aaab747161c81ec314b4d749e38c0e8cb4e8bf9b5b07dc53b6db2",
+            "480cddf67d974c11cf5236d2d06a4ee2250b1a00408b930c475d4efe86bbd9e6",
         "modehb_epsnet_seed0_metrics.json":
             "737d3db59261eacf3d0dd9e4c56b1ff38fdc5d89da23af0333e4e5eb02710945",
         "modehb_epsnet_seed8_archive.csv":
-            "422dba8fb65058c0d0733e7edb1312cd84412034b753bb81ea1dac6514aacd07",
+            "9c7902c1f024b4e49abdd53c380ac65efaacd91f56427bbd112ec2c409bdc89f",
         "modehb_epsnet_seed8_metrics.json":
             "e82a7e96422b26241ef98e4d367592b15477503a6d7939b2400e7d0d6f2c7164",
         "modehb_nsga2_seed0_archive.csv":
-            "cac2f5528a0aaab747161c81ec314b4d749e38c0e8cb4e8bf9b5b07dc53b6db2",
+            "480cddf67d974c11cf5236d2d06a4ee2250b1a00408b930c475d4efe86bbd9e6",
         "modehb_nsga2_seed0_metrics.json":
             "d7b5906038dc061a172487951832df9e1d27293543e1bd0c7c6d914cb9cfd64d",
         "modehb_nsga2_seed8_archive.csv":
-            "4d4e1d1a2a35394ab340dfd2c14e52ba011822205a2cbd156922f94099b15840",
+            "c648f54a0b58e5c1da4ead31b79ec5f3ae607d7d8c794df54504850dde14ac84",
         "modehb_nsga2_seed8_metrics.json":
             "6eb70f14c22bc7da5572869306b2bde8843b27be79717c55526a83eb2ea577eb",
         "random_search_seed0_archive.csv":
@@ -67,37 +67,37 @@ GOLDEN = {
         "report_attainment_random_search_k1.csv":
             "bc699cafb2623d0512c866668d4ec26a6b047547a34057a5eeb11de03098d2c2",
         "report_hv_modehb_epsnet.csv":
-            "99306afc4c02f0f3ec1079c950589edee02db10d8e0270a56f39c409fdedd8ae",
+            "3ac27bd3266fa511fbc4de0cc80e8d311882c8cf3503f14f5a8db76db2f7eaa0",
         "report_hv_modehb_nsga2.csv":
-            "99306afc4c02f0f3ec1079c950589edee02db10d8e0270a56f39c409fdedd8ae",
+            "c18267719036a8e5cb65ee506576e41c2813bb02dd8ee4846e2eb75fd2be32a0",
         "report_hv_random_search.csv":
             "edb7d6cf512e80ac3092ae4229571f07e8c67c55fec093c08eadd8b38164a47a",
         "report_loghvdiff_modehb_epsnet.csv":
-            "15e38249f6ed6eacfe480726681cd4ac649c8fcea3df62b48251511bc0336d13",
+            "7d4ffb009518b6b250b3fde5f868a07e8c612c5ed1c9e72d692617bfdb373959",
         "report_loghvdiff_modehb_nsga2.csv":
-            "15e38249f6ed6eacfe480726681cd4ac649c8fcea3df62b48251511bc0336d13",
+            "893c7d41358db3d8455ce092b641e977e3c69759b9bec6c18e6afa40afd9cec6",
         "report_loghvdiff_random_search.csv":
             "0870d79cfc1b261af053c5b4cdc64e926d4f19a378078b1abfeb33b1399217a3",
         "report_rank.csv":
-            "ba1949cf83c9fbae71349bde755c170f527f3a651e60e264ea2e0a7ed853eae7",
+            "3d1e4b3b9d40317e027089e9c7b8e35197f100707d63597314ee9d04db3f83a1",
         "summary.json":
             "2c6357a8d1f16621eee69536ef468c80df2a28f04a768e41888d4a059aaa68e8",
     },
     "toy_grid_tiny": {
         "modehb_epsnet_seed0_archive.csv":
-            "f8d70a78fbb637953a43d2c55dbcf31edfbe49d114626e304261eee501e079b4",
+            "7e170c88dcf080e1b7245ae253296415f8996d6a132936d91679e67d529647b4",
         "modehb_epsnet_seed0_metrics.json":
             "5c2ed4c09fb578f38134e72ae02863b1c14bacdab5b79c2a44c86e20eaf66727",
         "modehb_epsnet_seed1_archive.csv":
-            "9dc8f23edab9aedcecae0ee56fdb875a3204dfdcb751cd0f02bcc9e367c80a06",
+            "52492accf6821233bac3636ac7787a66f0771cc2e8f72aa02d537064ac54d012",
         "modehb_epsnet_seed1_metrics.json":
             "d1336aa9b7eb57a05568b7702b7a5e4b2aac5c6a1671329cc388281202ce3336",
         "modehb_nsga2_seed0_archive.csv":
-            "f8d70a78fbb637953a43d2c55dbcf31edfbe49d114626e304261eee501e079b4",
+            "7e170c88dcf080e1b7245ae253296415f8996d6a132936d91679e67d529647b4",
         "modehb_nsga2_seed0_metrics.json":
             "8be8aee10c2ed510c0865e0443885993480aae022f22d8c6d7ba6b40a03c1bd0",
         "modehb_nsga2_seed1_archive.csv":
-            "9dc8f23edab9aedcecae0ee56fdb875a3204dfdcb751cd0f02bcc9e367c80a06",
+            "52492accf6821233bac3636ac7787a66f0771cc2e8f72aa02d537064ac54d012",
         "modehb_nsga2_seed1_metrics.json":
             "67ee306a724f26ce23d7d9df3e714adbcef63e07bee4a36764b9758defb0134d",
         "random_search_seed0_archive.csv":
@@ -113,53 +113,53 @@ GOLDEN = {
     },
     "zdt1_d4_seeds3": {
         "modehb_epsnet_seed0_archive.csv":
-            "da6c3552abbe0828b1a6646121d0090fe0d368d5cbf8f3434cade7119990a713",
+            "d74f7ce2167ed8aa306be0b1d235b94009c841ec92c2265f6c666d15643c25fe",
         "modehb_epsnet_seed0_metrics.json":
-            "23245eede96240355dd634633d9bdc9e11988ca2c337d983bdcbc56351e6c1fa",
+            "a24623136c4fc1c86f8a6f7d74f3b8eee242178d4551bb059637b07701183bf6",
         "modehb_epsnet_seed1_archive.csv":
-            "94b27a61307cc0c4a1c135b7a49c7baa07192d4162da638077c3aafd336e2966",
+            "9d7dd55d8279ed71252a3763e0238b12dd7f0d427b083c6c1cde2e2ce071acfd",
         "modehb_epsnet_seed1_metrics.json":
-            "81a1e0a567d2b2b029840bee9ce859772fd14a7f232509cd0facd5cc09939163",
+            "ba33068762ef9656e9284196204f2c3b7d2896df37d03942ffb973852dd0a730",
         "modehb_epsnet_seed2_archive.csv":
-            "fd3fe7c5300540b37d90812b62e4d3d38b2dc851906b795dd328fa09042fa2f6",
+            "2ad06bdd31d0158a36e7224f1ff00c59703d6c06e4829737f4edeab67dca591c",
         "modehb_epsnet_seed2_metrics.json":
-            "9aecc880726d15654daadabf87d3d418cd4c8878e7403cd6c98fd1813e8e9bcd",
+            "fe2d629ae363fdbde4d8b6531c1f0d7634bb9ce7be3e38d4770db7b42e44be99",
         "modehb_nsga2_seed0_archive.csv":
-            "84263b69e33d9cded1f71f786f50e010753c899bc98d26287dc87b2133ad07a5",
+            "36773bf04129b87beb6cfa35cf30a6561a05963a4a7d7bb1d0a7ab3c86e7bb56",
         "modehb_nsga2_seed0_metrics.json":
-            "9b2486fe5c7724b9873a04b2b86d15af068eec4e85041f1a18f1ea804744b062",
+            "867e95937c74edd7b7e741a65463423c83d092b7cdcb298d75d85b7a2297bd6b",
         "modehb_nsga2_seed1_archive.csv":
-            "d73c728726ac0f35c497c5010a45da4d1d3a21ac6c16448cbb351d1e0dc323d2",
+            "b324897ab6d72f29249889550f89bec5081a58d36ac9ac40cd23f01a44ef3fb2",
         "modehb_nsga2_seed1_metrics.json":
-            "7494f35712f2c43ea03db7d158aabea544829e501aa259655b97b3093403ec80",
+            "268dcc5d66dd1aa581d219764a23da9a98fad07b3f43e08cb326b748bfb41739",
         "modehb_nsga2_seed2_archive.csv":
-            "a6bf8caef5ed27394dc888d2dc19c6a2d41257808a54d73333ff7d677a9eadf1",
+            "22cf0cb407addb2d9fbc25b842181db3e46d7d871f5fcd3642ac93866999ee5e",
         "modehb_nsga2_seed2_metrics.json":
-            "d78a13bfdd3fdcb49795903768f967335823020269e7f33d8b53e30b89915433",
+            "c10854355f7d3a1c722aaed7ca8ab8d4bcc8bff3d0cad2a3c1aecafe68427dd6",
         "random_search_seed0_archive.csv":
             "5e348a3c180c8f36b80e44b4c87ecba38ff7e0678e431b29fbf2175a6284583c",
         "random_search_seed0_metrics.json":
-            "abc8866b685a6a4946ede495841e809e0ef2dfc4f4ebd8b8172453185f062151",
+            "e64fda50fbcbcc8e6b8b5e6869a5198d0954b06ef926a78bbe7dfb6ed34c519c",
         "random_search_seed1_archive.csv":
             "81a13d70fb0920f1169769c7ce263ac26c641c14a0bdaf2fab49a911cf8b1282",
         "random_search_seed1_metrics.json":
-            "b98b9c8a0b2f9e860956fe71f8a19f92d80c90402326de426d48b4581ddd2edd",
+            "1cc5d649826add7b037259ece4c81313346e55cc5c19f42ccce9eeea64810e0e",
         "random_search_seed2_archive.csv":
             "14b9368608ead3c500a8db5e597b17140199f318b08f2a71f088cc8c9fbae763",
         "random_search_seed2_metrics.json":
-            "78f927971414a46a3e9226552885c5b31606de81708198605e0f4c9399ab98e4",
+            "4abf59f444e3f730126953f17b996f1adadfcb0ed45e44f2e841ff0efa3ff08e",
         "report_attainment_modehb_epsnet_k1.csv":
-            "6b35a908916793b216aef72058e418eb715aa9158acf8846c0bc1752ccac72c1",
+            "c18aab7941ef0b44a53eb7c73607875adc333092fdcaac5b12edd1f393c36454",
         "report_attainment_modehb_epsnet_k2.csv":
-            "0203f6b01805ee5e2603e27af059e05b046bb59187b9dcb3c6382ce4205a54ed",
+            "869b98f093defbfae92477fa2070c3ea016190dd5d4ce09a640d0da5fbe737e2",
         "report_attainment_modehb_epsnet_k3.csv":
-            "9d758341c8026afe31a5ba3a854db38776d606660dd6c5211fb4ad25a0ef3581",
+            "048720beb5513c9b97b8817fcfcf1035734f7db2d10144053d3a2416d45e4f3a",
         "report_attainment_modehb_nsga2_k1.csv":
-            "25f0c0677f7e7e9a9b66676c3fa5a5188b493fe1be05d56cf0a575c0010c75b9",
+            "698d3ed8cec0dd4f45ae7dfdfe3175ef72fa89f6390cfa4394cb04b656315bf2",
         "report_attainment_modehb_nsga2_k2.csv":
-            "a588a9312a322d3b8077d650238ab8d004a4025e969a843aeceeea792e295b4a",
+            "9bb68c5144dba394e5062d481e77175db3cec79e47aa814e63c6d81c72fe9869",
         "report_attainment_modehb_nsga2_k3.csv":
-            "864c3b73f09d4c3a611e1729f2c9f6b021d8850546d55f1cdf7daa5f4c42672e",
+            "910085c8829141cb31d393b7cc53f5984d8fb35b6d9772dcf7560b691f7f6fce",
         "report_attainment_random_search_k1.csv":
             "b58f6204a5e1fed22d8eebffe9418926ed812d854ba63684da08d15d33222993",
         "report_attainment_random_search_k2.csv":
@@ -167,45 +167,45 @@ GOLDEN = {
         "report_attainment_random_search_k3.csv":
             "1dbb6df84e65468035832c0efd4d89f00b6863592faf422bfb848ed11013689f",
         "report_hv_modehb_epsnet.csv":
-            "b917d9427b49675e8b6c994178b0b4754f8e8eb23788330025e53f30bd24d371",
+            "758dac67c05506c97747c1c517761bbc11fd8e6d850d3957ada457264aca5326",
         "report_hv_modehb_nsga2.csv":
-            "a3f9daa14a72baf277a370f752f8f34c906812e630e2622a72fd65452ba242f0",
+            "fd924734805f07517f85e625fa6cba37ce59442cc62685d1cd21aaa2718b8f3e",
         "report_hv_random_search.csv":
             "8ca0338ee9dcd28a3417be8f354ed1c0b293e4e07c17d4994ac0b679de2037ed",
         "report_loghvdiff_modehb_epsnet.csv":
-            "37cd4d1b3a89e81132e09efc2304bc2e38261ef58cce65e583b6f424f0cce1aa",
+            "06efd741e2754c009db078cc17755a8149e5fe13b65291e794b3623bf71fe7cc",
         "report_loghvdiff_modehb_nsga2.csv":
-            "315edc021b04fc57cdf7d7e7d5d1c5d3267e8dd9247bbc5051de966ad4960449",
+            "54cb2d1c6fcb1ef5d5daa4817ae7f5e82749c2ab30c1cea7b5c04eb95f87d686",
         "report_loghvdiff_random_search.csv":
-            "32a8218453d8ec1fc6a00a3b162a82a68f0edd6f2e602e2981106a234ca82887",
+            "5441f91df071bb309bce2c4e504305dba162a66c6c145115a9d00107f8efbb8f",
         "report_rank.csv":
-            "c065e72795619bc30ef5edb91740521865ba27dd8d4207b852bede81eb2a9854",
+            "e8f828b104180d2c7a9ac8065669e7a286c5bf49bff3345b27314b45c8817ccb",
         "summary.json":
-            "42e7126f38a1a0b2c0c790ea8a8b932a7b3176cb2a562fe2ce5fbd79bdadf191",
+            "56808d7dd1c5b727efaf6af06319ea44242ba121f1efa7b9cb7bbe4aba910be2",
     },
     "zdt1_d6": {
         "modehb_epsnet_seed0_archive.csv":
-            "e747c731251330a348ee4e8b6a7911adaad6b3b2cfc14e3b46880960fd127e5b",
+            "4652a59b15c8e43a1001ec5ee543632b50493c2d2e8ceef458184ad550277623",
         "modehb_epsnet_seed0_metrics.json":
-            "d52499392fbaa450790ab9d6ae09d005c51243fd1a77654df84c3b86ce7ca95c",
+            "72404d5a0052c875d18be14987fb986e8157326d13d1200f126c4e5855a69e64",
         "modehb_nsga2_seed0_archive.csv":
-            "f8869cace8bec0ae7230d015a7f4dcbdb9a865e1efc0376c1d603c0d3e00f0c6",
+            "d59ab68895ef9176457d0105f407fc8e8bc5d043e4bd7e575742d41ea9ca7cda",
         "modehb_nsga2_seed0_metrics.json":
-            "f00f46246f395e9d849e06da557c49ffa5805e55fd9a241d2f32e2b98ffef45e",
+            "b532b155070955a41082897f9dfe1d87b6a216b92bb6a134301b2a4fb2230e40",
         "random_search_seed0_archive.csv":
             "0bac3069bd95dafd68f8163b49a4963cf2a132127a3f48aff316591be5382dbf",
         "random_search_seed0_metrics.json":
-            "0ae105a6fb9d3a971214707fce561b920629540e1d4f25969b12eb06e4af6459",
+            "7e1abce523f264709977cdb635047bff3122e79f8bee645c5fe6b07156fad1b7",
         "summary.json":
-            "5cd0ec29d83f50affa8d4407974d2f14366d3a4a3f77beabf6965c39bc8d58c3",
+            "d0d9eb8d80eb84ab5054d3fa3740e3af3d1c1af71586b21ea99d99f05829fb4f",
     },
     "zdt2_d10": {
         "modehb_epsnet_seed0_archive.csv":
-            "dff1d127d31e7386ecdf97ff27d2ccc86f0504b4cc9d61f643f63e88325cef4e",
+            "4a7e3ae6b508715a471eced0e970dfab8ba6ddb5c97e1eed143765e7f81ba828",
         "modehb_epsnet_seed0_metrics.json":
             "88ef8d1fe3e919176fcfc8d9ff89a34f24dab9cfe4a4b0c8ee5c24d3a36cff3f",
         "modehb_nsga2_seed0_archive.csv":
-            "7298a2ee580c0b4918f82c3f225679d82e9b3f289e30fcd5969cf8d9f96ff9e0",
+            "ab17a0c0b616cc880ce393660a95dae450969eecd7267adead43a9896b0fb320",
         "modehb_nsga2_seed0_metrics.json":
             "5c80ba4242a148b320d2f25768c78b5d6cb4b51fbd6bb97298a50308d5c761e5",
         "random_search_seed0_archive.csv":

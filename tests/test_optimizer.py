@@ -238,17 +238,42 @@ def test_run_is_deterministic():
 
 
 def test_variants_share_init_then_diverge():
-    a = small_run(variant="nsga2")
-    b = small_run(variant="epsnet")
+    # The variants differ only in how promotion splits a front.  The nine
+    # initial evaluations return one front on the line f2 = 1 - f1 whose
+    # first point is interior, so promoting three of them splits it with
+    # k = 3: crowding takes both ends and then that point, the epsilon-net
+    # starts from it.  Later evaluations use the benchmark.
+    line = [0.5, 0.0, 0.1, 0.2, 0.3, 0.7, 0.8, 0.9, 1.0]
+
+    def objectives():
+        calls = iter(line)
+
+        def evaluate(genotype, fidelity):
+            f1 = next(calls, None)
+            if f1 is None:
+                return BENCH.evaluate(genotype, fidelity)
+            return np.array([f1, 1.0 - f1]), fidelity
+
+        return evaluate
+
+    a, b = (
+        run(
+            BENCH.space, LADDER, variant, objectives(), StoppingCriteria(max_tae=40), 0,
+            objective_bounds=BENCH.objective_bounds,
+        )
+        for variant in ("nsga2", "epsnet")
+    )
     # The random init at the cheapest fidelity is variant-independent.
     for ra, rb in zip(a.records[:9], b.records[:9]):
         assert np.array_equal(ra.genotype, rb.genotype)
     assert a.metadata.optimizer == "modehb_nsga2"
     assert b.metadata.optimizer == "modehb_epsnet"
-    assert any(
-        not np.array_equal(ra.genotype, rb.genotype)
-        for ra, rb in zip(a.records, b.records)
-    )
+    # The same three genotypes are promoted, in different orders.
+    init = [rec.genotype for rec in a.records[:9]]
+    for result, order in ((a, [1, 8, 0]), (b, [0, 1, 8])):
+        promoted = [rec.genotype for rec in result.records[9:12]]
+        assert all(rec.fidelity == 3.0 for rec in result.records[9:12])
+        assert all(np.array_equal(g, init[i]) for g, i in zip(promoted, order))
 
 
 def test_wallclock_stop():
@@ -451,6 +476,21 @@ def test_config_key_runs_once_per_draw_and_once_per_unsampled_evaluation(
     draws = calls["crossover_binomial"] + calls["encode_sample"] - n_initial
     assert draws > len(result.records) - unsampled > 0
     assert calls["config_key"] == draws + unsampled
+
+
+@pytest.mark.parametrize("in_pool", [0, 1, 2])
+def test_mutation_pool_tops_up_with_one_uniform_per_fill_in(in_pool):
+    # Fill-ins take 3 - len(pool) uniforms in one block, mapped to distinct
+    # candidate rows by de.distinct_indices.
+    state = initialize(BENCH.space, LADDER, 0, "nsga2", objective_bounds=BENCH.objective_bounds)
+    candidates = np.linspace(0.0, 1.0, 21).reshape(7, 3)
+    pool = np.full((in_pool, 3), 0.5)
+    for seed in range(20):
+        state.rng = np.random.default_rng(seed)
+        uniforms = np.random.default_rng(seed).random(3 - in_pool).tolist()
+        topped = optimizer._mutation_pool(state, pool, candidates)
+        expected = candidates[optimizer.distinct_indices(uniforms, len(candidates))]
+        assert np.array_equal(topped, np.concatenate([pool, expected]))
 
 
 # ---------------------------------------------------------- random search

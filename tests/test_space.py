@@ -7,6 +7,7 @@ from modehb.errors import DimensionError
 from modehb.space import (
     ParameterSpec,
     SearchSpace,
+    config_key,
     decode,
     encode_sample,
 )
@@ -43,6 +44,24 @@ def test_decode_boundaries():
     assert lo["act"] == "relu"
     # c == 1.0 must fall into the last bin, not out of range.
     assert hi["act"] == "id"
+
+
+def test_all_linear_space_keys_match_the_per_parameter_decoders():
+    # config_key decodes an all-linear continuous space with array
+    # arithmetic; the per-parameter decoders are the reference, bit for bit.
+    space = SearchSpace(
+        (
+            ParameterSpec("a", "continuous", lower=0.0, upper=1.0),
+            ParameterSpec("b", "continuous", lower=-3, upper=7),
+            ParameterSpec("c", "continuous", lower=0.1, upper=0.3),
+        )
+    )
+    assert space.affine is not None and make_space().affine is None
+    rng = np.random.default_rng(0)
+    for genotype in [np.zeros(3), np.ones(3), *rng.random((200, 3))]:
+        reference = tuple(f(c) for f, c in zip(space.decoders, genotype.tolist()))
+        assert config_key(space, genotype) == reference
+        assert list(decode(space, genotype).values()) == list(reference)
 
 
 def test_integer_rounds_half_up():
