@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage/configuration errors (nothing written),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -164,61 +163,53 @@ def _execute_run(config: dict, opt_entry: dict, seed: int) -> metrics.RunTraject
     )
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
+def _write_csv(path: Path, header: list[str], table):
+    """CSV of a header and rows of floats, each value in FLOAT_FMT, which
+    reads back bit for bit.  No field needs quoting, so each row is one
+    ``%`` format; the bytes are those of ``csv.writer`` (CRLF line ends)."""
+    row_fmt = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_fmt % tuple(row) for row in table)
+
+
+def _archive_header(d: int) -> list[str]:
+    head = ["seq", "fidelity", "cost_seconds", "cumulative_cost"]
+    return head + ["objective_1", "objective_2"] + [f"genotype_{i + 1}" for i in range(d)]
 
 
 def write_archive_csv(path: Path, run: metrics.RunTrajectory):
-    """Archive CSV with lossless (17 significant digit) float formatting.
-
-    No field needs quoting, so each row is one ``%`` format, written as it
-    is made; the bytes are those of ``csv.writer`` (CRLF line ends).
-    """
-    n_obj = len(run.records[0].objectives) if run.records else 2
-    d = len(run.records[0].genotype) if run.records else 0
-    header = (
-        ["seq", "fidelity", "cost_seconds", "cumulative_cost"]
-        + [f"objective_{i + 1}" for i in range(n_obj)]
-        + [f"genotype_{i + 1}" for i in range(d)]
+    """Archive CSV: one row per evaluation, seq first, then fidelity,
+    cost, cumulative cost, the two objectives and the genotype."""
+    seq = np.arange(1, len(run.cost) + 1)
+    table = np.column_stack(
+        [seq, run.fidelity, run.cost, np.cumsum(run.cost), run.objectives, run.genotypes]
     )
-    row_fmt = ",".join(["%s"] + [FLOAT_FMT] * (3 + n_obj + d)) + "\r\n"
-    cumulative = 0.0
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for rec in run.records:
-            cumulative += rec.cost
-            head = (rec.seq, rec.fidelity, rec.cost, cumulative)
-            fh.write(row_fmt % (*head, *rec.objectives.tolist(), *rec.genotype.tolist()))
+    _write_csv(path, _archive_header(run.genotypes.shape[1]), table.tolist())
 
 
 def read_archive_csv(path: Path, metadata: metrics.RunMetadata) -> metrics.RunTrajectory:
-    """Inverse of write_archive_csv.  A row whose length differs from the
-    header's, or a non-finite value, raises ValueError: ``run`` never
-    writes either, so the archive is malformed."""
-    records = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        n_obj = sum(1 for c in header if c.startswith("objective_"))
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"line {reader.line_num} has {len(row)} fields, "
-                    f"the header {len(header)}"
-                )
-            values = [float(v) for v in row[1:]]
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"non-finite value in row {row[0]}")
-            records.append(
-                optimizer.EvaluationRecord(
-                    seq=int(row[0]),
-                    fidelity=values[0],
-                    cost=values[1],
-                    objectives=np.array(values[3 : 3 + n_obj]),
-                    genotype=np.array(values[3 + n_obj :]),
-                )
-            )
-    return metrics.RunTrajectory(records=tuple(records), metadata=metadata)
+    """Inverse of write_archive_csv.  ``run`` writes no archive without rows
+    or with a header other than ``_archive_header(d)``, a blank row, rows of
+    differing length, a non-finite value or a seq column other than 1..n;
+    each raises ValueError."""
+    header, _, body = path.read_text(encoding="utf-8").partition("\n")
+    d, rows = header.count(",") - 5, body.splitlines()
+    if header.split(",") != _archive_header(d):
+        raise ValueError(f"the header is not {','.join(_archive_header(1))},...")
+    if not rows:
+        raise ValueError("no evaluation rows")
+    if "" in rows:
+        raise ValueError(f"line {rows.index('') + 2} is blank")
+    table = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    if table.shape[1] != 6 + d:
+        raise ValueError(f"rows have {table.shape[1]} fields, the header {6 + d}")
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite value")
+    if not np.array_equal(table[:, 0], np.arange(1, len(table) + 1)):
+        raise ValueError("the seq column is not 1, 2, ..., n")
+    columns = table[:, 1], table[:, 2], table[:, 4:6], table[:, 6:]
+    return metrics.RunTrajectory(*columns, metadata=metadata)
 
 
 def _run_filenames(opt_name: str, seed: int) -> tuple[str, str]:
@@ -281,7 +272,7 @@ def cmd_run(config_path: str, workers: int = 1) -> int:
             "benchmark": benchmark.name,
             "ladder": dict(config["ladder"]),
             "stop_cause": run.metadata.stop_cause,
-            "tae": len(run.records),
+            "tae": len(run.cost),
             "cumulative_cost": float(series.cumulative_cost[-1]),
             "final_hv": final_hv,
             "final_log_hv_diff": diff,
@@ -349,26 +340,15 @@ def _load_runs(out_dir: Path):
             run = read_archive_csv(out_dir / archive, meta)
         except OSError as exc:
             raise _UsageError(f"{out_dir / archive}: {exc.strerror}") from exc
-        except (ValueError, IndexError) as exc:
-            raise _UsageError(f"{out_dir / archive}: malformed archive row ({exc})") from exc
-        if not run.records:
-            raise _UsageError(f"{out_dir / archive}: archive holds no evaluation records")
+        except ValueError as exc:
+            raise _UsageError(f"{out_dir / archive}: malformed archive ({exc})") from exc
         runs[(name, seed)] = run
     return opt_names, seeds, best, benchmark, runs
-
-
-def _write_table(path: Path, header: list[str], rows):
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def cmd_report(out_dir: str, attainment: str | None = None) -> int:
     out = Path(out_dir)
     opt_names, seeds, best, benchmark, runs = _load_runs(out)
-    if not runs:
-        raise _UsageError(f"{out}: summary lists no runs")
     bounds = benchmark.objective_bounds
     n_runs_per_opt = len(seeds)
 
@@ -405,11 +385,9 @@ def cmd_report(out_dir: str, attainment: str | None = None) -> int:
     for name, opt_hv in zip(opt_names, hv):
         diffs = [[metrics.log_hv_diff(h, best) for h in row] for row in opt_hv]
         for prefix, table in (("hv", opt_hv), ("loghvdiff", diffs)):
-            rows = [
-                [_fmt(t)] + [_fmt(v) for v in row] + [_fmt(np.mean(row))]
-                for t, row in zip(grid, table)
-            ]
-            _write_table(out / f"report_{prefix}_{name}.csv", header, rows)
+            mean = [np.mean(row) for row in table]
+            rows = np.column_stack([grid, table, mean]).tolist()
+            _write_csv(out / f"report_{prefix}_{name}.csv", header, rows)
 
         opt_runs = [runs[(name, s)] for s in seeds]
         for k in ks:
@@ -417,18 +395,15 @@ def cmd_report(out_dir: str, attainment: str | None = None) -> int:
                 surface = metrics.attainment_surface(opt_runs, k, bounds)
             except MetricsError as exc:
                 raise _UsageError(str(exc)) from exc
-            _write_table(
-                out / f"report_attainment_{name}_k{k}.csv",
-                ["f1", "f2"],
-                [[_fmt(p[0]), _fmt(p[1])] for p in surface],
-            )
+            path = out / f"report_attainment_{name}_k{k}.csv"
+            _write_csv(path, ["f1", "f2"], surface.tolist())
 
     # Average rank per seed, 1 = highest HV: count above + (count tied + 1) / 2.
     above = (hv[None] > hv[:, None]).sum(axis=1)
     tied = (hv[None] == hv[:, None]).sum(axis=1)
     ranks = (above + (tied + 1) / 2).sum(axis=2) / len(seeds)
-    rank_rows = [[_fmt(t)] + [_fmt(v) for v in row] for t, row in zip(grid, ranks.T)]
-    _write_table(out / "report_rank.csv", ["time"] + list(opt_names), rank_rows)
+    rank_rows = np.column_stack([grid, ranks.T]).tolist()
+    _write_csv(out / "report_rank.csv", ["time"] + list(opt_names), rank_rows)
     return 0
 
 
@@ -449,7 +424,7 @@ def cmd_bench_oracle(
         raise _UsageError(str(exc)) from exc
     print(f"benchmark: {benchmark.name}")
     print(f"objective_bounds: {benchmark.objective_bounds}")
-    print(f"true_front_hv: {_fmt(true_hv)}")
+    print(f"true_front_hv: {FLOAT_FMT % true_hv}")
     if benchmark.front is not None:
         table = bench.toy_table(k)
         front_set = {tuple(p) for p in benchmark.front}
@@ -459,7 +434,7 @@ def cmd_bench_oracle(
             for j in range(k):
                 f1, f2 = i / (k - 1), table[i, j]
                 mark = int((f1, f2) in front_set)
-                print(f"{i},{j},{_fmt(f1)},{_fmt(f2)},{mark}")
+                print(f"{i},{j},{FLOAT_FMT % f1},{FLOAT_FMT % f2},{mark}")
         print(f"front_size: {len(benchmark.front)}")
     if benchmark.front_curve is not None:
         from .pareto import hypervolume
@@ -469,8 +444,8 @@ def cmd_bench_oracle(
             metrics.normalize(dense, benchmark.objective_bounds),
             metrics.REF,
         )
-        print(f"sampled_front_hv: {_fmt(sampled)} ({samples} points)")
-        print(f"abs_error: {_fmt(abs(sampled - true_hv))}")
+        print(f"sampled_front_hv: {FLOAT_FMT % sampled} ({samples} points)")
+        print(f"abs_error: {FLOAT_FMT % abs(sampled - true_hv)}")
     return 0
 
 

@@ -10,16 +10,12 @@ with reference point ``REF``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmptyPopulationError, MetricsError, NormalizationError
 from .pareto import hypervolume, non_dominated_sort
 from .scheduler import FidelityLadder
-
-if TYPE_CHECKING:
-    from .optimizer import EvaluationRecord
 
 LOG_HV_DIFF_FLOOR = 1e-12
 
@@ -41,18 +37,21 @@ class RunMetadata:
 
 @dataclass(frozen=True)
 class RunTrajectory:
-    """Seq-ordered evaluation records plus run metadata."""
+    """One run's evaluation archive as columns in seq order (row i is seq
+    i + 1): fidelity and cost (n,), objectives (n, 2), genotypes (n, d)."""
 
-    records: tuple["EvaluationRecord", ...]
+    fidelity: np.ndarray
+    cost: np.ndarray
+    objectives: np.ndarray
+    genotypes: np.ndarray
     metadata: RunMetadata
 
 
 @dataclass(frozen=True)
 class HVSeries:
-    """Hypervolume over budget: parallel cost / TAE / HV arrays."""
+    """Hypervolume over budget: parallel cumulative-cost / HV arrays."""
 
     cumulative_cost: np.ndarray
-    tae: np.ndarray
     hv: np.ndarray
 
 
@@ -78,18 +77,14 @@ def normalize(values, bounds) -> np.ndarray:
 
 
 def _bmax_points(run: RunTrajectory, bounds) -> np.ndarray:
-    """Normalized objectives of the run's b_max records, (n, m) in seq order."""
-    b_max = run.metadata.ladder.b_max
-    objectives = [rec.objectives for rec in run.records if rec.fidelity == b_max]
-    if not objectives:
-        return np.empty((0, len(bounds)))
-    return normalize(objectives, bounds)
+    """Normalized objectives of the run's b_max rows, (n, m) in seq order."""
+    return normalize(run.objectives[run.fidelity == run.metadata.ladder.b_max], bounds)
 
 
 def hv_trajectory(run: RunTrajectory, bounds) -> HVSeries:
     """Normalized-HV growth of the archive's full-fidelity front.
 
-    One series point per record; the HV value is that of the non-dominated
+    One series point per evaluation; the HV value is that of the non-dominated
     set of all b_max records seen so far (0.0 before the first).
 
     Only the staircase is kept: the points that add a term to the
@@ -111,12 +106,8 @@ def hv_trajectory(run: RunTrajectory, bounds) -> HVSeries:
             staircase = np.vstack([kept, point])
             hv = hypervolume(staircase, REF)
         hv_after.append(hv)
-    n_bmax_seen = np.cumsum([rec.fidelity == b_max for rec in run.records], dtype=int)
-    return HVSeries(
-        np.cumsum([rec.cost for rec in run.records], dtype=float),
-        np.arange(1, len(run.records) + 1),
-        np.array(hv_after)[n_bmax_seen],
-    )
+    n_bmax_seen = np.cumsum(run.fidelity == b_max)
+    return HVSeries(np.cumsum(run.cost), np.array(hv_after)[n_bmax_seen])
 
 
 def log_hv_diff(hv: float, hv_best: float) -> float:

@@ -136,7 +136,6 @@ class OptimizerState:
     """
 
     space: SearchSpace
-    ladder: FidelityLadder
     variant: str
     de_params: DEParams
     rng: np.random.Generator
@@ -195,7 +194,6 @@ def initialize(
         genotypes[row] = encode_sample(space, rng)
     return OptimizerState(
         space=space,
-        ladder=ladder,
         variant=variant,
         de_params=de_params or DEParams(),
         rng=rng,
@@ -398,8 +396,8 @@ def _trajectory(
     ladder,
     benchmark_name: str,
 ) -> RunTrajectory:
-    """The one driver: evaluate each proposal and send its record back
-    until the stop trips; return the seq-ordered archive."""
+    """The one driver: evaluate each proposal and send its record back until
+    the stop trips, never before the first; return the archive as columns."""
     records: list[EvaluationRecord] = []
     cost = 0.0
     genotype, fidelity = next(proposals)
@@ -410,7 +408,10 @@ def _trajectory(
         genotype, fidelity = proposals.send(record)
     proposals.close()
     return RunTrajectory(
-        records=tuple(records),
+        fidelity=np.array([rec.fidelity for rec in records]),
+        cost=np.array([rec.cost for rec in records]),
+        objectives=np.array([rec.objectives for rec in records]),
+        genotypes=np.array([rec.genotype for rec in records]),
         metadata=RunMetadata(
             seed=seed,
             optimizer=optimizer,

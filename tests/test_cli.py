@@ -15,7 +15,7 @@ import pytest
 import modehb
 from modehb import bench, cli
 from modehb.metrics import RunMetadata, RunTrajectory
-from modehb.optimizer import EvaluationRecord, StoppingCriteria, run_random_search
+from modehb.optimizer import StoppingCriteria, run_random_search
 from modehb.scheduler import build_ladder
 
 
@@ -425,6 +425,21 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     assert archive in broken_copy("header_only", lambda out: (out / archive).write_text(
         (out / archive).read_text("utf-8").splitlines(keepends=True)[0], "utf-8"))
 
+    # A header unlike the writer's, rows out of seq order, and a blank row.
+    def third_objective(out):
+        text = (out / archive).read_text("utf-8")
+        (out / archive).write_text(text.replace("genotype_1", "objective_3", 1), "utf-8")
+
+    def swap_rows(out):
+        lines = (out / archive).read_text("utf-8").splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        (out / archive).write_text("".join(lines), "utf-8")
+
+    assert archive in broken_copy("three_objectives", third_objective)
+    assert archive in broken_copy("swapped_rows", swap_rows)
+    assert archive in broken_copy("blank_row", lambda out: (out / archive).write_text(
+        (out / archive).read_text("utf-8").replace("\n", "\n\n", 2), "utf-8"))
+
     # `run` never writes a non-finite value, so one marks a malformed archive,
     # whether or not the row is at b_max.
     def first_objective(name, value, fidelity):
@@ -499,11 +514,11 @@ def test_report_does_not_load_numpy_ma(tmp_path):
 def test_import_does_not_load_jsonschema_or_process_pools():
     proc = _python(
         "-c",
-        "import sys, modehb; "
-        "print([m in sys.modules for m in ('jsonschema', 'concurrent.futures.process')])",
+        "import sys, modehb; modules = ('jsonschema', 'concurrent.futures.process', 'csv'); "
+        "print([m in sys.modules for m in modules])",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.strip() == "[False, False, False]"
 
 
 # -------------------------------------------------------------- round trip
@@ -511,19 +526,19 @@ def test_import_does_not_load_jsonschema_or_process_pools():
 
 def _csv_writer_bytes(run) -> bytes:
     """An archive as csv.writer writes it, with "%.17g" per value."""
-    first = run.records[0]
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(
         ["seq", "fidelity", "cost_seconds", "cumulative_cost"]
-        + [f"objective_{i + 1}" for i in range(len(first.objectives))]
-        + [f"genotype_{i + 1}" for i in range(len(first.genotype))]
+        + [f"objective_{i + 1}" for i in range(run.objectives.shape[1])]
+        + [f"genotype_{i + 1}" for i in range(run.genotypes.shape[1])]
     )
     cumulative = 0.0
-    for rec in run.records:
-        cumulative += rec.cost
-        values = [rec.fidelity, rec.cost, cumulative, *rec.objectives, *rec.genotype]
-        writer.writerow([str(rec.seq)] + ["%.17g" % v for v in values])
+    columns = zip(run.fidelity, run.cost, run.objectives, run.genotypes, strict=True)
+    for seq, (fidelity, cost, objectives, genotype) in enumerate(columns, 1):
+        cumulative += cost
+        values = [fidelity, cost, cumulative, *objectives, *genotype]
+        writer.writerow([str(seq)] + ["%.17g" % v for v in values])
     return buf.getvalue().encode("utf-8")
 
 
@@ -532,22 +547,19 @@ def _bits(values) -> bytes:
 
 
 def _hand_built_run(ladder) -> RunTrajectory:
-    awkward = [-0.0, 5e-324, 1 / 3, 1e16, 2.0**53 + 1, 3.0, 0.0, 1.0, -2.0]
-    records = tuple(
-        EvaluationRecord(
-            seq=i + 1,
-            genotype=np.array([awkward[i], awkward[-1 - i], 0.5]),
-            fidelity=float(ladder.levels[i % len(ladder.levels)]),
-            objectives=np.array([awkward[(i + 3) % len(awkward)], awkward[i]]),
-            cost=awkward[(i + 5) % len(awkward)],
-        )
-        for i in range(len(awkward))
-    )
+    awkward = np.array([-0.0, 5e-324, 1 / 3, 1e16, 2.0**53 + 1, 3.0, 0.0, 1.0, -2.0])
+    i = np.arange(len(awkward))
     metadata = RunMetadata(
         seed=0, optimizer="modehb_nsga2", benchmark="hand_built", ladder=ladder,
         stop_cause=None,
     )
-    return RunTrajectory(records=records, metadata=metadata)
+    return RunTrajectory(
+        fidelity=np.array(ladder.levels)[i % len(ladder.levels)],
+        cost=awkward[(i + 5) % len(awkward)],
+        objectives=np.column_stack([awkward[(i + 3) % len(awkward)], awkward]),
+        genotypes=np.column_stack([awkward, awkward[::-1], np.full(len(awkward), 0.5)]),
+        metadata=metadata,
+    )
 
 
 def test_archive_round_trip_is_lossless(tmp_path):
@@ -562,12 +574,10 @@ def test_archive_round_trip_is_lossless(tmp_path):
         cli.write_archive_csv(path, run)
         assert path.read_bytes() == _csv_writer_bytes(run)
         loaded = cli.read_archive_csv(path, run.metadata)
-        assert len(loaded.records) == len(run.records)
-        for a, b in zip(run.records, loaded.records):
-            assert a.seq == b.seq
-            assert _bits([a.fidelity, a.cost]) == _bits([b.fidelity, b.cost])
-            assert _bits(a.objectives) == _bits(b.objectives)
-            assert _bits(a.genotype) == _bits(b.genotype)
+        assert len(loaded.cost) == len(run.cost)
+        for column in ("fidelity", "cost", "objectives", "genotypes"):
+            a, b = getattr(run, column), getattr(loaded, column)
+            assert a.shape == b.shape and _bits(a) == _bits(b)
 
 
 # ------------------------------------------------------------ bench-oracle

@@ -15,7 +15,6 @@ from modehb.metrics import (
     log_hv_diff,
     normalize,
 )
-from modehb.optimizer import EvaluationRecord
 from modehb.pareto import hypervolume
 from modehb.scheduler import build_ladder
 from oracles import staircase_attains
@@ -30,21 +29,17 @@ def make_run(points, fidelities=None, costs=None, seed=0, optimizer="modehb_nsga
     n = len(points)
     fidelities = fidelities or [LADDER.b_max] * n
     costs = costs or list(fidelities)
-    records = tuple(
-        EvaluationRecord(
-            seq=i + 1,
-            genotype=np.array([0.5, 0.5]),
-            fidelity=float(fidelities[i]),
-            objectives=points[i],
-            cost=float(costs[i]),
-        )
-        for i in range(n)
-    )
     meta = RunMetadata(
         seed=seed, optimizer=optimizer, benchmark="toy", ladder=LADDER,
         stop_cause="max_tae",
     )
-    return RunTrajectory(records=records, metadata=meta)
+    return RunTrajectory(
+        fidelity=np.array(fidelities, dtype=float),
+        cost=np.array(costs, dtype=float),
+        objectives=points,
+        genotypes=np.full((n, 2), 0.5),
+        metadata=meta,
+    )
 
 
 # --------------------------------------------------------------- normalize
@@ -80,7 +75,6 @@ def test_hv_trajectory_hand_case():
         costs=[4.0, 1.0, 4.0],
     )
     series = hv_trajectory(run, UNIT)
-    assert np.array_equal(series.tae, [1, 2, 3])
     assert series.cumulative_cost == pytest.approx([4.0, 5.0, 9.0])
     # The cheap mid-run record is ignored by the front; HV holds steady.
     assert series.hv == pytest.approx([0.25, 0.25, 0.3125])

@@ -42,6 +42,17 @@ def small_run(variant="nsga2", seed=0, max_tae=40):
     )
 
 
+def rows_of(result):
+    """A run's archive rows as EvaluationRecords, seq taken from the row."""
+    columns = zip(
+        result.genotypes, result.fidelity, result.objectives, result.cost, strict=True
+    )
+    return [
+        EvaluationRecord(i + 1, genotype, float(fidelity), objectives, float(cost))
+        for i, (genotype, fidelity, objectives, cost) in enumerate(columns)
+    ]
+
+
 def drive(records, objective_fn, proposals):
     """Evaluate every proposal of a finite generator, sending each record
     back; the records are appended to ``records`` in seq order."""
@@ -204,15 +215,15 @@ def test_run_spends_the_planned_rung_budgets():
     }
     for budget, counts in expect.items():
         result = small_run(max_tae=budget)
-        assert len(result.records) == budget
-        assert dict(Counter(rec.fidelity for rec in result.records)) == counts
+        assert len(rows_of(result)) == budget
+        assert dict(Counter(rec.fidelity for rec in rows_of(result))) == counts
         assert result.metadata.stop_cause == "max_tae"
 
 
 def test_run_archive_is_sequential_and_within_bounds():
     result = small_run()
-    assert [rec.seq for rec in result.records] == list(range(1, 41))
-    for rec in result.records:
+    assert [rec.seq for rec in rows_of(result)] == list(range(1, 41))
+    for rec in rows_of(result):
         assert rec.fidelity in LADDER.levels
         assert rec.cost == rec.fidelity
         assert np.all(rec.genotype >= 0.0) and np.all(rec.genotype <= 1.0)
@@ -224,8 +235,8 @@ def test_run_archive_is_sequential_and_within_bounds():
 def test_run_is_deterministic():
     a = small_run(seed=5)
     b = small_run(seed=5)
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
+    assert len(rows_of(a)) == len(rows_of(b))
+    for ra, rb in zip(rows_of(a), rows_of(b)):
         assert ra.seq == rb.seq and ra.fidelity == rb.fidelity
         assert np.array_equal(ra.genotype, rb.genotype)
         assert np.array_equal(ra.objectives, rb.objectives)
@@ -233,7 +244,7 @@ def test_run_is_deterministic():
     c = small_run(seed=6)
     assert any(
         not np.array_equal(ra.genotype, rc.genotype)
-        for ra, rc in zip(a.records, c.records)
+        for ra, rc in zip(rows_of(a), rows_of(c))
     )
 
 
@@ -264,15 +275,15 @@ def test_variants_share_init_then_diverge():
         for variant in ("nsga2", "epsnet")
     )
     # The random init at the cheapest fidelity is variant-independent.
-    for ra, rb in zip(a.records[:9], b.records[:9]):
+    for ra, rb in zip(rows_of(a)[:9], rows_of(b)[:9]):
         assert np.array_equal(ra.genotype, rb.genotype)
     assert a.metadata.optimizer == "modehb_nsga2"
     assert b.metadata.optimizer == "modehb_epsnet"
     # The same three genotypes are promoted, in different orders.
-    init = [rec.genotype for rec in a.records[:9]]
+    init = [rec.genotype for rec in rows_of(a)[:9]]
     for result, order in ((a, [1, 8, 0]), (b, [0, 1, 8])):
-        promoted = [rec.genotype for rec in result.records[9:12]]
-        assert all(rec.fidelity == 3.0 for rec in result.records[9:12])
+        promoted = [rec.genotype for rec in rows_of(result)[9:12]]
+        assert all(rec.fidelity == 3.0 for rec in rows_of(result)[9:12])
         assert all(np.array_equal(g, init[i]) for g, i in zip(promoted, order))
 
 
@@ -287,10 +298,10 @@ def test_wallclock_stop():
         objective_bounds=BENCH.objective_bounds,
     )
     assert result.metadata.stop_cause == "max_wallclock"
-    total = sum(rec.cost for rec in result.records)
+    total = sum(rec.cost for rec in rows_of(result))
     assert total >= 20.0
     # The limit is checked before each evaluation, never mid-run after one.
-    assert total - result.records[-1].cost < 20.0
+    assert total - rows_of(result)[-1].cost < 20.0
 
 
 def test_evaluation_failures_are_wrapped():
@@ -344,7 +355,7 @@ def test_run_is_invariant_to_scaling_objectives_and_bounds():
             BENCH.space, LADDER, variant, scaled, StoppingCriteria(max_tae=250), 0,
             objective_bounds=bounds,
         )
-        for rp, rb in zip(plain.records, big.records, strict=True):
+        for rp, rb in zip(rows_of(plain), rows_of(big), strict=True):
             assert np.array_equal(rp.genotype, rb.genotype)
             assert rp.fidelity == rb.fidelity
             assert np.array_equal(4.0 * rp.objectives, rb.objectives)
@@ -364,7 +375,7 @@ def test_shorter_budget_is_a_prefix(optimizer_name):
         )
 
     n = 37
-    short, long = archive(n).records, archive(2 * n).records
+    short, long = rows_of(archive(n)), rows_of(archive(2 * n))
     assert len(short) == n and len(long) == 2 * n
     for rs, rl in zip(short, long[:n], strict=True):
         assert rs.seq == rl.seq and rs.fidelity == rl.fidelity and rs.cost == rl.cost
@@ -376,8 +387,8 @@ def test_run_keeps_going_for_multiple_iterations():
     # 3 full DEHB sweeps of ladder (1, 9, 3) cost 22 evaluations each
     # after the opening one; a large budget must keep cycling, not stall.
     result = small_run(max_tae=100)
-    assert len(result.records) == 100
-    counts = Counter(rec.fidelity for rec in result.records)
+    assert len(rows_of(result)) == 100
+    counts = Counter(rec.fidelity for rec in rows_of(result))
     assert counts[9.0] >= 10
 
 
@@ -474,7 +485,7 @@ def test_config_key_runs_once_per_draw_and_once_per_unsampled_evaluation(
     # crossover) or a uniform draw (one encode_sample after the initial
     # population); repeats are redrawn, and the budget stops the last draw.
     draws = calls["crossover_binomial"] + calls["encode_sample"] - n_initial
-    assert draws > len(result.records) - unsampled > 0
+    assert draws > len(rows_of(result)) - unsampled > 0
     assert calls["config_key"] == draws + unsampled
 
 
@@ -501,8 +512,8 @@ def test_random_search_samples_full_fidelity_only():
         BENCH.space, LADDER, BENCH.evaluate, StoppingCriteria(max_tae=25), 0,
         benchmark_name=BENCH.name,
     )
-    assert len(result.records) == 25
-    assert all(rec.fidelity == 9.0 for rec in result.records)
+    assert len(rows_of(result)) == 25
+    assert all(rec.fidelity == 9.0 for rec in rows_of(result))
     assert result.metadata.optimizer == "random_search"
     assert result.metadata.stop_cause == "max_tae"
 
@@ -514,10 +525,10 @@ def test_random_search_is_deterministic_and_distinct_from_dehb():
     b = run_random_search(
         BENCH.space, LADDER, BENCH.evaluate, StoppingCriteria(max_tae=25), 4
     )
-    for ra, rb in zip(a.records, b.records):
+    for ra, rb in zip(rows_of(a), rows_of(b)):
         assert np.array_equal(ra.genotype, rb.genotype)
     dehb = small_run(seed=4, max_tae=25)
     assert any(
         not np.array_equal(ra.genotype, rd.genotype)
-        for ra, rd in zip(a.records, dehb.records)
+        for ra, rd in zip(rows_of(a), rows_of(dehb))
     )
