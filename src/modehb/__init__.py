@@ -25,17 +25,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .metrics import HVSeries, RunMetadata, RunTrajectory
-from .optimizer import (
-    EvaluationRecord,
-    OptimizerState,
-    StoppingCriteria,
-    evolve_rung,
-    initialize,
-    promote,
-    run,
-    run_random_search,
-    tae_budget,
-)
+from .optimizer import Optimizer, StoppingCriteria, run, run_random_search, tae_budget
 from .scheduler import BracketPlan, FidelityLadder, bracket_plan, build_ladder, dehb_iteration_plan
 from .space import ParameterSpec, SearchSpace, decode, encode_sample
 
@@ -49,7 +39,6 @@ __all__ = [
     "DimensionError",
     "EmptyPopulationError",
     "EvaluationError",
-    "EvaluationRecord",
     "FidelityLadder",
     "HVSeries",
     "InsufficientParentsError",
@@ -57,7 +46,7 @@ __all__ = [
     "MetricsError",
     "ModehbError",
     "NormalizationError",
-    "OptimizerState",
+    "Optimizer",
     "OracleError",
     "ParameterSpec",
     "RunMetadata",
@@ -74,11 +63,8 @@ __all__ = [
     "decode",
     "dehb_iteration_plan",
     "encode_sample",
-    "evolve_rung",
-    "initialize",
     "metrics",
     "pareto",
-    "promote",
     "run",
     "run_random_search",
     "scheduler",

@@ -60,9 +60,11 @@ class _UsageError(Exception):
 
 
 def _is(value, kind: str) -> bool:
-    """JSON Schema's type test: a bool is not a number, and 2.0 is an integer."""
+    """JSON Schema's type test: a bool is not a number, 2.0 is an integer, and
+    NaN and Infinity, which ``json.loads`` reads (1e999 too), are not numbers."""
     if type(value) in (int, float) and kind in ("number", "integer"):
-        return kind == "number" or type(value) is int or value.is_integer()
+        finite = abs(value) < math.inf  # exact for ints of any size
+        return finite and (kind == "number" or type(value) is int or value.is_integer())
     return _JSON_TYPES.get(type(value)) == kind
 
 
@@ -190,20 +192,20 @@ def write_archive_csv(path: Path, run: metrics.RunTrajectory):
 
 def read_archive_csv(path: Path, metadata: metrics.RunMetadata) -> metrics.RunTrajectory:
     """Inverse of write_archive_csv.  ``run`` writes no archive without rows
-    or with a header other than ``_archive_header(d)``, a blank row, rows of
-    differing length, a non-finite value or a seq column other than 1..n;
-    each raises ValueError."""
+    or with a header other than ``_archive_header(d)``, a row (blank or not)
+    whose field count differs from the header's, a non-finite value or a seq
+    column other than 1..n; each raises ValueError."""
     header, _, body = path.read_text(encoding="utf-8").partition("\n")
     d, rows = header.count(",") - 5, body.splitlines()
     if header.split(",") != _archive_header(d):
         raise ValueError(f"the header is not {','.join(_archive_header(1))},...")
     if not rows:
         raise ValueError("no evaluation rows")
-    if "" in rows:
-        raise ValueError(f"line {rows.index('') + 2} is blank")
+    # Checked before loadtxt, whose message counts data rows, not file lines.
+    for line, row in enumerate(rows, 2):
+        if row.count(",") != 5 + d:
+            raise ValueError(f"line {line}: {row.count(',') + 1} fields, the header has {6 + d}")
     table = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
-    if table.shape[1] != 6 + d:
-        raise ValueError(f"rows have {table.shape[1]} fields, the header {6 + d}")
     if not np.isfinite(table).all():
         raise ValueError("non-finite value")
     if not np.array_equal(table[:, 0], np.arange(1, len(table) + 1)):

@@ -36,11 +36,11 @@ so each slot spends exactly one evaluation.  A child that is new on its
 first draw uses the same RNG draws as plain DE.
 
 Both optimizers are generators of proposals: each yields a ``(genotype,
-fidelity)`` pair and is sent the ``EvaluationRecord`` of its evaluation.
-One driver, ``_trajectory``, evaluates them and owns the archive and the
-stop.  It takes the next proposal first and checks the stop after, so the
-draw that meets an exhausted budget is still drawn, then discarded
-unevaluated.
+fidelity)`` pair and is sent the ``(seq, objectives)`` of its evaluation.
+``Optimizer`` drives one of them by ask and tell, and owns the archive.
+``tell`` takes the next proposal at once, and ``run`` checks the stop only
+before it asks, so the draw that meets an exhausted budget is still drawn,
+then discarded unevaluated.
 """
 
 from __future__ import annotations
@@ -96,10 +96,13 @@ class StoppingCriteria:
     def __post_init__(self):
         if self.max_tae is None and self.max_wallclock is None:
             raise ValueError("at least one stopping criterion is required")
-        if self.max_tae is not None and self.max_tae < 1:
-            raise ValueError(f"max_tae must be >= 1, got {self.max_tae}")
-        if self.max_wallclock is not None and self.max_wallclock <= 0:
-            raise ValueError(f"max_wallclock must be > 0, got {self.max_wallclock}")
+        # A NaN or infinite limit never trips, so the run would never end.
+        if self.max_tae is not None and not 1 <= self.max_tae < math.inf:
+            raise ValueError(f"max_tae must be finite and >= 1, got {self.max_tae}")
+        if self.max_wallclock is not None and not 0 < self.max_wallclock < math.inf:
+            raise ValueError(
+                f"max_wallclock must be finite and > 0, got {self.max_wallclock}"
+            )
 
     def cause_if_tripped(self, tae: int, cost: float) -> str | None:
         if self.max_tae is not None and tae >= self.max_tae:
@@ -107,17 +110,6 @@ class StoppingCriteria:
         if self.max_wallclock is not None and cost >= self.max_wallclock:
             return "max_wallclock"
         return None
-
-
-@dataclass(frozen=True)
-class EvaluationRecord:
-    """One target-algorithm execution."""
-
-    seq: int
-    genotype: np.ndarray
-    fidelity: float
-    objectives: np.ndarray
-    cost: float
 
 
 @dataclass
@@ -128,7 +120,7 @@ class OptimizerState:
     fidelity, cheapest first; ``rows[level]`` is the fixed block of rows
     owned by that level's sub-population.  ``objectives``, ``owners`` and
     ``seqs`` hold one spare last row for the offspring under selection.
-    ``objectives`` are the raw values of the archive records; ``ref``, the
+    ``objectives`` are the raw values of the archived evaluations; ``ref``, the
     upper corner of the declared objective bounds, is the hypervolume
     reference point in that same space.  A row's seq is 0 (objectives NaN)
     until its first evaluation.  ``seen`` holds the (configuration key,
@@ -148,16 +140,16 @@ class OptimizerState:
     parent_pool: dict[float, np.ndarray] = field(default_factory=dict)
     seen: set[tuple] = field(default_factory=set)
 
-    def store(self, row: int, record: EvaluationRecord):
-        """Make the evaluated record the member held in ``row``; the spare
+    def store(self, row: int, genotype, fidelity: float, told: tuple):
+        """Make the evaluated proposal the member held in ``row``; the spare
         last row takes an offspring's fidelity as its owner, not its genotype.
+        ``told`` is the ``(seq, objectives)`` pair its evaluation sent back.
         """
         if row < len(self.genotypes):
-            self.genotypes[row] = record.genotype
+            self.genotypes[row] = genotype
         else:
-            self.owners[row] = record.fidelity
-        self.objectives[row] = record.objectives
-        self.seqs[row] = record.seq
+            self.owners[row] = fidelity
+        self.seqs[row], self.objectives[row] = told
 
 
 def initialize(
@@ -212,30 +204,6 @@ def promote(objectives, genotypes, k: int, variant: str) -> np.ndarray:
     return genotypes[rank_and_truncate(objectives, k, VARIANTS[variant])]
 
 
-def _evaluate(objective_fn, genotype, fidelity, seq: int) -> EvaluationRecord:
-    """The one evaluation path: call, validation, record."""
-    try:
-        objectives, cost = objective_fn(genotype, fidelity)
-    except Exception as exc:
-        raise EvaluationError(
-            f"evaluation failed at fidelity {fidelity}: {exc}"
-        ) from exc
-    objectives = np.asarray(objectives, dtype=float)
-    if objectives.shape != (2,):
-        raise EvaluationError(
-            f"objective vector of shape {objectives.shape}, expected two objectives"
-        )
-    if not all(map(math.isfinite, objectives.tolist())):
-        raise EvaluationError(f"non-finite objectives {objectives}")
-    return EvaluationRecord(
-        seq=seq,
-        genotype=np.array(genotype, dtype=float, copy=True),
-        fidelity=float(fidelity),
-        objectives=objectives,
-        cost=float(cost),
-    )
-
-
 def _fill_ins(state: OptimizerState, fidelity: float):
     """The parent pool at ``fidelity``, and the genotypes of the global
     population not in it, which may top it up (None if it has three or more).
@@ -273,19 +241,19 @@ def _mutation_pool(state: OptimizerState, pool, candidates) -> np.ndarray:
     return pool
 
 
-def _apply_selection(state: OptimizerState, row: int, record: EvaluationRecord):
+def _apply_selection(state: OptimizerState, row: int, child, fidelity, told):
     """Run survivor selection for the offspring of ``row``'s member.
 
     The offspring is stored in the spare last row; unless it is the victim
     it takes the victim's row, which always lies in the parent's slice.
     """
     spare = len(state.genotypes)
-    state.store(spare, record)
+    state.store(spare, child, fidelity, told)
     victim = mo_selection(
         state.objectives, state.owners, state.seqs, row, spare, state.ref
     )
     if victim < spare:
-        state.store(victim, record)
+        state.store(victim, child, fidelity, told)
 
 
 def _draw_child(
@@ -312,26 +280,24 @@ def _draw_child(
     return child, key
 
 
-def evolve_rung(state: OptimizerState, fidelity: float, n_slots: int | None = None):
+def evolve_rung(state: OptimizerState, fidelity: float, n_slots: int):
     """One DE pass over the sub-population at the given fidelity, as a
     generator of proposals.
 
-    ``n_slots`` is the rung's planned evaluation count (defaults to the
-    sub-population size); when it exceeds the capacity the targets cycle
-    through the members again, so every bracket spends its proper
-    successive-halving budget regardless of the frozen capacities.  Each
-    slot proposes one child, redrawn to avoid repeats (module docstring),
-    and runs survivor selection once its record is sent back.
+    ``n_slots`` is the rung's planned evaluation count; when it exceeds the
+    sub-population size the targets cycle through the members again, so
+    every bracket spends its proper successive-halving budget regardless of
+    the frozen capacities.  Each slot proposes one child, redrawn to avoid
+    repeats (module docstring), and runs survivor selection once its
+    evaluation is sent back.
     """
     rows = state.rows[fidelity]
-    if n_slots is None:
-        n_slots = len(rows)
     for raw_slot in range(n_slots):
         row = rows[raw_slot % len(rows)]
         child, key = _draw_child(state, row, fidelity)
-        record = yield child, fidelity
-        state.seen.add((key, record.fidelity))
-        _apply_selection(state, row, record)
+        told = yield child, fidelity
+        state.seen.add((key, fidelity))
+        _apply_selection(state, row, child, fidelity, told)
 
 
 def _promote_level(state: OptimizerState, level: float, k: int) -> np.ndarray:
@@ -345,11 +311,11 @@ def _promote_level(state: OptimizerState, level: float, k: int) -> np.ndarray:
 def _fill_rows(state: OptimizerState, level: float, genotypes):
     """Propose ``genotypes`` at ``level``, each stored in the next row of
     that level's sub-population.  None was drawn, so each takes its
-    ``config_key`` once its record arrives."""
+    ``config_key`` once its evaluation arrives."""
     for row, genotype in zip(state.rows[level], genotypes):
-        record = yield genotype, level
-        state.seen.add((config_key(state.space, genotype), record.fidelity))
-        state.store(row, record)
+        told = yield genotype, level
+        state.seen.add((config_key(state.space, genotype), level))
+        state.store(row, genotype, level, told)
 
 
 def _vanilla_bracket(state: OptimizerState, bracket: BracketPlan):
@@ -387,39 +353,83 @@ def _random_search(space: SearchSpace, ladder: FidelityLadder, seed: int):
         yield encode_sample(space, rng), ladder.levels[-1]
 
 
-def _trajectory(
-    proposals,
-    objective_fn,
-    stop: StoppingCriteria,
-    seed: int,
-    optimizer: str,
-    ladder,
-    benchmark_name: str,
-) -> RunTrajectory:
-    """The one driver: evaluate each proposal and send its record back until
-    the stop trips, never before the first; return the archive as columns."""
-    records: list[EvaluationRecord] = []
-    cost = 0.0
-    genotype, fidelity = next(proposals)
-    while (stop_cause := stop.cause_if_tripped(len(records), cost)) is None:
-        record = _evaluate(objective_fn, genotype, fidelity, len(records) + 1)
-        records.append(record)
-        cost += record.cost
-        genotype, fidelity = proposals.send(record)
-    proposals.close()
-    return RunTrajectory(
-        fidelity=np.array([rec.fidelity for rec in records]),
-        cost=np.array([rec.cost for rec in records]),
-        objectives=np.array([rec.objectives for rec in records]),
-        genotypes=np.array([rec.genotype for rec in records]),
-        metadata=RunMetadata(
-            seed=seed,
-            optimizer=optimizer,
-            benchmark=benchmark_name,
-            ladder=ladder,
-            stop_cause=stop_cause,
-        ),
-    )
+class Optimizer:
+    """One run as ask and tell: MO-DEHB for ``variant`` "nsga2" or
+    "epsnet" (``run`` documents the arguments), or random search for
+    "random_search".
+
+    ``ask()`` returns the pending ``(genotype, fidelity)`` proposal.  Only
+    one is out at a time, so asking again before a tell returns the same.
+    ``tell(objectives, cost)`` reports its evaluation: two finite objectives
+    and the cost in seconds.  A tell that fails validation raises
+    EvaluationError and changes nothing.  A valid one becomes evaluation
+    ``tae`` of the archive, adds to ``cost``, and draws the next proposal.
+    """
+
+    def __init__(
+        self,
+        space: SearchSpace,
+        ladder: FidelityLadder,
+        variant: str,
+        seed: int,
+        *,
+        objective_bounds=((0.0, 1.0), (0.0, 1.0)),
+        de_params: DEParams | None = None,
+    ):
+        if variant == "random_search":
+            self._proposals, name = _random_search(space, ladder, seed), variant
+        else:
+            state = initialize(space, ladder, seed, variant, de_params, objective_bounds)
+            self._proposals = _mo_dehb(state, dehb_iteration_plan(ladder))
+            name = f"modehb_{variant}"
+        self._metadata = {"seed": seed, "optimizer": name, "ladder": ladder}
+        self.tae, self.cost = 0, 0.0
+        # The archive's fidelity, cost, objectives and genotype columns.
+        self._columns = ([], [], [], [])
+        self._pending = next(self._proposals)
+
+    def ask(self) -> tuple[np.ndarray, float]:
+        return self._pending
+
+    def tell(self, objectives, cost: float):
+        objectives = np.asarray(objectives, dtype=float)
+        if objectives.shape != (2,):
+            raise EvaluationError(
+                f"objective vector of shape {objectives.shape}, expected two objectives"
+            )
+        values = objectives.tolist()
+        if not all(map(math.isfinite, values)):
+            raise EvaluationError(f"non-finite objectives {objectives}")
+        cost = float(cost)
+        genotype, fidelity = self._pending
+        fidelities, costs, objective_rows, genotypes = self._columns
+        fidelities.append(float(fidelity))
+        costs.append(cost)
+        objective_rows.append(values)
+        genotypes.append(genotype.copy())
+        self.tae += 1
+        self.cost += cost
+        self._pending = self._proposals.send((self.tae, objectives))
+
+    def trajectory(self, stop_cause=None, benchmark_name="") -> RunTrajectory:
+        """The evaluations told so far, as columns in seq order."""
+        meta = RunMetadata(**self._metadata, benchmark=benchmark_name, stop_cause=stop_cause)
+        return RunTrajectory(*map(np.array, self._columns), metadata=meta)
+
+
+def _drive(opt: Optimizer, objective_fn, stop: StoppingCriteria, benchmark_name):
+    """Evaluate each proposal and tell its result until the stop trips,
+    never before the first; return the archive."""
+    while (stop_cause := stop.cause_if_tripped(opt.tae, opt.cost)) is None:
+        genotype, fidelity = opt.ask()
+        try:
+            objectives, cost = objective_fn(genotype, fidelity)
+        except Exception as exc:
+            raise EvaluationError(
+                f"evaluation failed at fidelity {fidelity}: {exc}"
+            ) from exc
+        opt.tell(objectives, cost)
+    return opt.trajectory(stop_cause, benchmark_name)
 
 
 def run(
@@ -441,11 +451,10 @@ def run(
     objectives; the upper corner of the declared objective bounds is the
     reference point of its hypervolume tie-break.
     """
-    state = initialize(space, ladder, seed, variant, de_params, objective_bounds)
-    proposals = _mo_dehb(state, dehb_iteration_plan(ladder))
-    return _trajectory(
-        proposals, objective_fn, stop, seed, f"modehb_{variant}", ladder, benchmark_name
+    opt = Optimizer(
+        space, ladder, variant, seed, objective_bounds=objective_bounds, de_params=de_params
     )
+    return _drive(opt, objective_fn, stop, benchmark_name)
 
 
 def run_random_search(
@@ -457,13 +466,6 @@ def run_random_search(
     *,
     benchmark_name: str = "",
 ) -> RunTrajectory:
-    """Uniform random sampling evaluated at b_max only (the baseline).
-
-    Its proposals go through the same driver as MO-DEHB's, so each
-    genotype is drawn before the stop check, and the draw that meets the
-    exhausted budget is discarded unevaluated.
-    """
-    proposals = _random_search(space, ladder, seed)
-    return _trajectory(
-        proposals, objective_fn, stop, seed, "random_search", ladder, benchmark_name
-    )
+    """Uniform random sampling evaluated at b_max only (the baseline)."""
+    opt = Optimizer(space, ladder, "random_search", seed)
+    return _drive(opt, objective_fn, stop, benchmark_name)

@@ -302,6 +302,38 @@ def test_config_rules_accept(tmp_path, keys, value):
     assert cli._load_config(str(write_config(tmp_path, config))) == config
 
 
+# JSON has no NaN or Infinity, but json.loads reads them, and 1e999 as
+# Infinity.  Unchecked, such a max_wallclock never stops a run, and the other
+# values fail with a traceback.  Checked at load time, so no run can hang.
+NON_FINITE_CONFIGS = [
+    ("$.stop.max_wallclock", ["stop"], {"max_wallclock": "X"}, "NaN"),
+    ("$.stop.max_wallclock", ["stop"], {"max_wallclock": "X"}, "Infinity"),
+    ("$.stop.max_wallclock", ["stop"], {"max_wallclock": "X"}, "1e999"),
+    ("$.stop.max_tae", ["stop"], {"max_tae": "X"}, "NaN"),
+    ("$.ladder.b_max", ["ladder", "b_max"], "X", "Infinity"),
+    ("$.ladder.b_max", ["ladder", "b_max"], "X", "NaN"),
+    ("$.ladder.b_min", ["ladder", "b_min"], "X", "-Infinity"),
+    ("$.ladder.eta", ["ladder", "eta"], "X", "Infinity"),
+    ("$.seeds[0]", ["seeds"], ["X"], "NaN"),
+    ("$.optimizers[0].scaling_factor", ["optimizers", 0, "scaling_factor"], "X", "NaN"),
+    ("$.optimizers[0].crossover_prob", ["optimizers", 0, "crossover_prob"], "X", "NaN"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, keys, value, literal",
+    NON_FINITE_CONFIGS,
+    ids=[f"{'.'.join(map(str, k))}={lit}" for _, k, _, lit in NON_FINITE_CONFIGS],
+)
+def test_config_rules_reject_non_finite_numbers(tmp_path, path, keys, value, literal):
+    config = _edited(tmp_path / "out", keys, value)
+    text = json.dumps(config).replace('"X"', literal)
+    (tmp_path / "config.json").write_text(text, encoding="utf-8")
+    with pytest.raises(cli._UsageError, match="is not of type") as caught:
+        cli._load_config(str(tmp_path / "config.json"))
+    assert f": {path}: " in str(caught.value)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_benchmark_exits_3_and_cleans_up(tmp_path, monkeypatch, workers):
     def exploding(ladder, **params):
@@ -417,9 +449,12 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     # A config that `run` would refuse is blamed on the summary, not on a flag.
     empty_seeds = edit_summary(lambda summary: summary["config"].update(seeds=[]))
     assert "summary.json: $.config.seeds" in broken_copy("empty_seeds", empty_seeds)
+    # A row of the wrong length is named by its file line, as a blank one is.
+    appended_line = len((run_dir / archive).read_text("utf-8").splitlines()) + 1
     for name, row in (("bad_row", "3,4,oops"), ("short_row", "3,4")):
-        broken_copy(name, lambda out: (out / archive).write_text(
+        err = broken_copy(name, lambda out: (out / archive).write_text(
             (out / archive).read_text("utf-8") + row + "\n", "utf-8"))
+        assert f"line {appended_line}: " in err and "usecols" not in err
     # An empty archive and one holding only its header name the file.
     assert archive in broken_copy("empty", lambda out: (out / archive).write_text("", "utf-8"))
     assert archive in broken_copy("header_only", lambda out: (out / archive).write_text(

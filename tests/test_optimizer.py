@@ -1,17 +1,17 @@
 """Tests for the optimization loop: budgets, populations, determinism."""
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
 
+import modehb
 from modehb import optimizer
 from modehb.bench import toy_grid, zdt1_mf
 from modehb.errors import EvaluationError, NormalizationError, UnsupportedDimensionError
 from modehb.optimizer import (
-    EvaluationRecord,
+    Optimizer,
     StoppingCriteria,
-    _evaluate,
     _fill_rows,
     _vanilla_bracket,
     derive_rng,
@@ -42,28 +42,33 @@ def small_run(variant="nsga2", seed=0, max_tae=40):
     )
 
 
+# One evaluation of a run's archive.
+Row = namedtuple("Row", "seq genotype fidelity objectives cost")
+
+
 def rows_of(result):
-    """A run's archive rows as EvaluationRecords, seq taken from the row."""
+    """A run's archive as Rows, seq taken from the row."""
     columns = zip(
         result.genotypes, result.fidelity, result.objectives, result.cost, strict=True
     )
     return [
-        EvaluationRecord(i + 1, genotype, float(fidelity), objectives, float(cost))
+        Row(i + 1, genotype, float(fidelity), objectives, float(cost))
         for i, (genotype, fidelity, objectives, cost) in enumerate(columns)
     ]
 
 
 def drive(records, objective_fn, proposals):
-    """Evaluate every proposal of a finite generator, sending each record
-    back; the records are appended to ``records`` in seq order."""
-    record = None
+    """Evaluate every proposal of a finite generator, sending each its
+    ``(seq, objectives)``; the Rows are appended to ``records`` in seq order."""
+    told = None
     while True:
         try:
-            genotype, fidelity = proposals.send(record)
+            genotype, fidelity = proposals.send(told)
         except StopIteration:
             return
-        record = _evaluate(objective_fn, genotype, fidelity, len(records) + 1)
-        records.append(record)
+        objectives, cost = objective_fn(genotype, fidelity)
+        records.append(Row(len(records) + 1, genotype.copy(), fidelity, objectives, cost))
+        told = records[-1].seq, np.asarray(objectives, dtype=float)
 
 
 # ----------------------------------------------------------- rng and budget
@@ -95,10 +100,84 @@ def test_stopping_criteria_validation():
         StoppingCriteria(max_tae=0)
     with pytest.raises(ValueError):
         StoppingCriteria(max_wallclock=0.0)
+    # A NaN or infinite limit never trips, so a run would never end.
+    for limit in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            StoppingCriteria(max_wallclock=limit)
+        with pytest.raises(ValueError, match="finite"):
+            StoppingCriteria(max_tae=limit)
     stop = StoppingCriteria(max_tae=5, max_wallclock=100.0)
     assert stop.cause_if_tripped(4, 0.0) is None
     assert stop.cause_if_tripped(5, 0.0) == "max_tae"
     assert stop.cause_if_tripped(0, 100.0) == "max_wallclock"
+
+
+# ------------------------------------------------------------------ ask/tell
+
+def ask_tell(variant, n=80, seed=3):
+    """An Optimizer after a hand-written loop of n asks and tells."""
+    opt = Optimizer(
+        BENCH.space, LADDER, variant, seed, objective_bounds=BENCH.objective_bounds
+    )
+    for _ in range(n):
+        genotype, fidelity = opt.ask()
+        opt.tell(*BENCH.evaluate(genotype, fidelity))
+    return opt
+
+
+def assert_same_columns(a, b):
+    for column in ("fidelity", "cost", "objectives", "genotypes"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
+
+
+@pytest.mark.parametrize("variant", ["nsga2", "epsnet", "random_search"])
+def test_ask_tell_loop_gives_the_columns_of_a_run(variant):
+    stop = StoppingCriteria(max_tae=80)
+    if variant == "random_search":
+        expected = run_random_search(BENCH.space, LADDER, BENCH.evaluate, stop, 3)
+    else:
+        expected = run(
+            BENCH.space, LADDER, variant, BENCH.evaluate, stop, 3,
+            objective_bounds=BENCH.objective_bounds,
+        )
+    opt = ask_tell(variant)
+    assert (opt.tae, opt.cost) == (80, sum(expected.cost.tolist()))
+    got = opt.trajectory("max_tae")
+    assert_same_columns(got, expected)
+    assert got.metadata == expected.metadata
+
+
+def test_asking_again_before_a_tell_returns_the_same_proposal():
+    opt = Optimizer(BENCH.space, LADDER, "nsga2", 0, objective_bounds=BENCH.objective_bounds)
+    # The opening bracket's 13 evaluations, then DE children.
+    for _ in range(20):
+        proposal = opt.ask()
+        assert opt.ask() is proposal
+        opt.tell(*BENCH.evaluate(*proposal))
+
+
+@pytest.mark.parametrize("variant", ["nsga2", "random_search"])
+def test_a_rejected_tell_changes_nothing(variant):
+    # A long run survives one bad evaluation: after it, the run goes on
+    # exactly as one that never saw it.
+    opt = Optimizer(BENCH.space, LADDER, variant, 3, objective_bounds=BENCH.objective_bounds)
+    for i in range(80):
+        proposal = opt.ask()
+        if i == 30:
+            before = opt.tae, opt.cost
+            for bad in ([np.nan, 0.5], [0.5, -np.inf], [0.5], [0.1, 0.2, 0.3], [[0.1, 0.2]]):
+                with pytest.raises(EvaluationError):
+                    opt.tell(bad, 1.0)
+                assert (opt.tae, opt.cost) == before and opt.ask() is proposal
+        opt.tell(*BENCH.evaluate(*proposal))
+    assert_same_columns(opt.trajectory(), ask_tell(variant).trajectory())
+
+
+def test_package_exports_the_optimizer_not_its_internals():
+    assert "Optimizer" in modehb.__all__ and modehb.Optimizer is Optimizer
+    internals = {"EvaluationRecord", "OptimizerState", "evolve_rung", "initialize", "promote"}
+    assert not internals & set(modehb.__all__)
 
 
 # ------------------------------------------------------------ initialization
@@ -161,7 +240,7 @@ def test_run_rejects_bounds_for_other_than_two_objectives(n_bounds):
 
 
 def _record(seq, objectives):
-    return EvaluationRecord(
+    return Row(
         seq=seq,
         genotype=np.full(2, float(seq)),
         fidelity=1.0,
@@ -418,8 +497,8 @@ def _evaluate_cells(grid, state, records, cells, fidelity):
     def proposals():
         for cell in cells:
             genotype = (np.asarray(cell) + 0.5) / k
-            record = yield genotype, fidelity
-            state.seen.add((config_key(state.space, genotype), record.fidelity))
+            yield genotype, fidelity
+            state.seen.add((config_key(state.space, genotype), fidelity))
 
     drive(records, grid.evaluate, proposals())
 
