@@ -265,8 +265,7 @@ def cmd_run(config_path: str, workers: int = 1) -> int:
         name = opt_entry["name"]
         archive_name, metrics_name = _run_filenames(name, seed)
         write_archive_csv(out_dir / archive_name, run)
-        series = metrics.hv_trajectory(run, bounds)
-        final_hv = float(series.hv[-1])
+        final_hv = metrics.final_hv(run, bounds)
         diff = metrics.log_hv_diff(final_hv, best)
         run_info = {
             "optimizer": name,
@@ -275,7 +274,7 @@ def cmd_run(config_path: str, workers: int = 1) -> int:
             "ladder": dict(config["ladder"]),
             "stop_cause": run.metadata.stop_cause,
             "tae": len(run.cost),
-            "cumulative_cost": float(series.cumulative_cost[-1]),
+            "cumulative_cost": float(np.cumsum(run.cost)[-1]),
             "final_hv": final_hv,
             "final_log_hv_diff": diff,
         }

@@ -2,32 +2,32 @@
 
 Genotypes live in [0, 1]^d throughout; mutants are clipped back into the
 box.  Selection follows the rank-then-hypervolume rule (NSGA-II ranking,
-Deb et al. 2002; SMS-EMOA tie-break, Beume et al. 2007): the offspring
-replaces its parent when it ranks strictly better in the joint
-non-dominated sort, is discarded when strictly worse, and on equal rank
-the least hypervolume contributor of the last front (restricted to the
-parent's own sub-population) is evicted instead.
+Deb et al. 2002; SMS-EMOA tie-break, Beume et al. 2007) on two objectives:
+the offspring replaces its parent when it ranks strictly better in the
+joint non-dominated sort, is discarded when strictly worse, and on equal
+rank the least hypervolume contributor of the last front (restricted to
+the parent's own sub-population) is evicted instead.
 
-The decision sorts only what it compares, in this order:
+The decision ranks only what it compares, in this order:
 
 1. If one of parent and offspring dominates the other, it ranks strictly
-   better; no sort is needed.
+   better; nothing is ranked.
 2. Otherwise only the rows dominating the parent or the offspring are
-   sorted, with those two.  A point's front index depends only on the
-   points that dominate it, so both ranks are exact.
+   ranked, with those two, by one sweep.  A point's front index depends
+   only on the points that dominate it, so both ranks are exact.
 3. Only when the two ranks tie is the whole population sorted, because
    the last front is then needed.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InsufficientParentsError, SelectionError
-from .pareto import _as_points, hv_contributions, non_dominated_sort
+from .errors import UnsupportedDimensionError
+from .pareto import _as_points, _sweep_ranks, hv_contributions, non_dominated_sort
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def mo_selection(
     """Pick the member a freshly evaluated offspring replaces (or itself).
 
     Args:
-        objectives: (N, n) objective rows of the global population with the
+        objectives: (N, 2) objective rows of the global population with the
             offspring already included provisionally, in the same space
             as ref.
         owners: Sub-population tag per row (the fidelity owning the member).
@@ -140,9 +140,12 @@ def mo_selection(
         seq; no owned row in the last front falls back to the parent).
 
     Raises:
+        UnsupportedDimensionError: For any number of objectives but two.
         SelectionError: On malformed indices or mismatched fidelities.
     """
     objectives = _as_points(objectives)
+    if objectives.shape[1] != 2:
+        raise UnsupportedDimensionError("survivor selection needs exactly two objectives")
     n_rows = len(objectives)
     if not (0 <= parent < n_rows and 0 <= offspring < n_rows) or parent == offspring:
         raise SelectionError(f"invalid parent/offspring rows {parent}, {offspring}")
@@ -155,28 +158,20 @@ def mo_selection(
 
     # Step 1 (see the module docstring): when exactly one of the two weakly
     # dominates the other, it dominates it.
-    p, o = objectives[parent].tolist(), objectives[offspring].tolist()
-    p_le_o = all(map(operator.le, p, o))
-    o_le_p = all(map(operator.le, o, p))
-    if p_le_o != o_le_p:
+    p1, p2 = objectives[parent].tolist()
+    o1, o2 = objectives[offspring].tolist()
+    p_le_o = p1 <= o1 and p2 <= o2
+    if p_le_o != (o1 <= p1 and o2 <= p2):
         return offspring if p_le_o else parent
     # Step 2: the rows weakly dominating either one (the two themselves and
     # their duplicates included) are all that the two ranks depend on.
-    # Compared column by column, in place: cheaper than .all(axis=1).
-    cols = objectives.T
-    below, below_o = cols[0] <= p[0], cols[0] <= o[0]
-    for k in range(1, len(p)):
-        below &= cols[k] <= p[k]
-        below_o &= cols[k] <= o[k]
-    below |= below_o
-    below = below.nonzero()[0]
+    f1, f2 = objectives.T
+    below = (((f1 <= p1) & (f2 <= p2)) | ((f1 <= o1) & (f2 <= o2))).nonzero()[0]
+    rank = _sweep_ranks(objectives.take(below, axis=0))
     rows = below.tolist()
-    p_at, o_at = rows.index(parent), rows.index(offspring)
-    for front in non_dominated_sort(objectives.take(below, axis=0)):
-        if (p_at in front) != (o_at in front):
-            return offspring if p_at in front else parent
-        if p_at in front:
-            break
+    p_rank, o_rank = rank[rows.index(parent)], rank[rows.index(offspring)]
+    if p_rank != o_rank:
+        return offspring if p_rank < o_rank else parent
 
     # Step 3: equal ranks; the last front needs the whole population.
     last = non_dominated_sort(objectives)[-1]

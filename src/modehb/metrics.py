@@ -110,6 +110,12 @@ def hv_trajectory(run: RunTrajectory, bounds) -> HVSeries:
     return HVSeries(np.cumsum(run.cost), np.array(hv_after)[n_bmax_seen])
 
 
+def final_hv(run: RunTrajectory, bounds) -> float:
+    """Normalized HV of all the run's b_max records (0.0 with none): the
+    last value of ``hv_trajectory``, bit for bit."""
+    return hypervolume(_bmax_points(run, bounds), REF)
+
+
 def log_hv_diff(hv: float, hv_best: float) -> float:
     """log10 of the HV gap to the best-known front, floored at 1e-12."""
     return float(np.log10(max(hv_best - hv, LOG_HV_DIFF_FLOOR)))

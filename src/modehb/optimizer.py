@@ -361,9 +361,10 @@ class Optimizer:
     ``ask()`` returns the pending ``(genotype, fidelity)`` proposal.  Only
     one is out at a time, so asking again before a tell returns the same.
     ``tell(objectives, cost)`` reports its evaluation: two finite objectives
-    and the cost in seconds.  A tell that fails validation raises
-    EvaluationError and changes nothing.  A valid one becomes evaluation
-    ``tae`` of the archive, adds to ``cost``, and draws the next proposal.
+    and a finite, non-negative cost in seconds.  A tell that fails
+    validation raises EvaluationError and changes nothing.  A valid one
+    becomes evaluation ``tae`` of the archive, adds to ``cost``, and draws
+    the next proposal.
     """
 
     def __init__(
@@ -392,7 +393,11 @@ class Optimizer:
         return self._pending
 
     def tell(self, objectives, cost: float):
-        objectives = np.asarray(objectives, dtype=float)
+        try:
+            objectives = np.asarray(objectives, dtype=float)
+            cost = float(cost)
+        except (TypeError, ValueError) as exc:
+            raise EvaluationError(f"non-numeric objectives or cost: {exc}") from exc
         if objectives.shape != (2,):
             raise EvaluationError(
                 f"objective vector of shape {objectives.shape}, expected two objectives"
@@ -400,7 +405,9 @@ class Optimizer:
         values = objectives.tolist()
         if not all(map(math.isfinite, values)):
             raise EvaluationError(f"non-finite objectives {objectives}")
-        cost = float(cost)
+        # A NaN or negative cost would stop max_wallclock from ever tripping.
+        if not 0.0 <= cost < math.inf:
+            raise EvaluationError(f"cost must be finite and non-negative, got {cost}")
         genotype, fidelity = self._pending
         fidelities, costs, objective_rows, genotypes = self._columns
         fidelities.append(float(fidelity))

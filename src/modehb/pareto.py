@@ -52,14 +52,14 @@ def _domination_matrix(pts: np.ndarray) -> np.ndarray:
     return leq & lt
 
 
-def _sweep_fronts(pts: np.ndarray) -> list[list[int]]:
-    """Two-objective fronts by the lexicographic sweep.
+def _sweep_ranks(pts: np.ndarray) -> list[int]:
+    """Two-objective front index of every point, by the lexicographic sweep.
 
     Within a front f2 never increases in sweep order, so the front's last
     point (kept as an (f2, f1) tuple in ``tails``) dominates the visited
     point iff it compares less; an exact duplicate compares equal and is
     not dominated.  ``tails`` stays strictly increasing, so the point's
-    front is the first tail not less than it.
+    front is the first tail not less than it.  Callers check the points.
     """
     f1, f2 = pts.T.tolist()
     tails: list[tuple[float, float]] = []
@@ -72,10 +72,7 @@ def _sweep_fronts(pts: np.ndarray) -> list[list[int]]:
         else:
             tails[k] = key
         rank[i] = k
-    fronts: list[list[int]] = [[] for _ in tails]
-    for i, k in enumerate(rank):
-        fronts[k].append(i)
-    return fronts
+    return rank
 
 
 def _peel_fronts(pts: np.ndarray) -> list[list[int]]:
@@ -110,7 +107,13 @@ def non_dominated_sort(points) -> list[list[int]]:
     if pts.size == 0:
         raise EmptyPopulationError("cannot sort an empty population")
     pts = _as_points(pts)
-    return _sweep_fronts(pts) if pts.shape[1] == 2 else _peel_fronts(pts)
+    if pts.shape[1] > 2:
+        return _peel_fronts(pts)
+    rank = _sweep_ranks(pts)
+    fronts: list[list[int]] = [[] for _ in range(max(rank) + 1)]
+    for i, k in enumerate(rank):
+        fronts[k].append(i)
+    return fronts
 
 
 def crowding_distance(front) -> np.ndarray:

@@ -7,7 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from modehb import de
+from modehb import de, optimizer
+from modehb.bench import zdt2_mf
 from modehb.de import (
     DEParams,
     crossover_binomial,
@@ -21,7 +22,8 @@ from modehb.errors import (
     SelectionError,
     UnsupportedDimensionError,
 )
-from modehb.pareto import hv_contributions
+from modehb.pareto import _peel_fronts, hv_contributions
+from modehb.scheduler import build_ladder
 from oracles import nds_bf
 
 
@@ -309,9 +311,9 @@ def test_selection_validates_inputs():
         mo_selection(objectives, [1.0], [1, 2], 0, 1, REF)
 
 
-def _reference_victim(objectives, owners, seqs, parent, offspring, ref):
-    # The documented rule, evaluated from the brute-force fronts.
-    fronts = nds_bf(objectives)
+def _reference_victim(objectives, owners, seqs, parent, offspring, ref, sort=nds_bf):
+    # The documented rule, evaluated from the fronts of a reference sort.
+    fronts = sort(objectives)
     rank = np.empty(len(objectives), dtype=int)
     for r, front in enumerate(fronts):
         rank[front] = r
@@ -327,24 +329,18 @@ def _reference_victim(objectives, owners, seqs, parent, offspring, ref):
     return min(owned)[2] if owned else parent
 
 
-def _lattice_case(rng, n_obj=2):
+def _lattice_case(rng):
     # Integer lattices scaled past the (1, 1) reference give rank ties,
     # exact duplicates and zero-contribution last fronts; two owner tags
     # exercise the sub-population restriction and the parent fallback.
     n = int(rng.integers(3, 40))
     width = int(rng.integers(2, 7))
-    objectives = rng.integers(0, width, size=(n, n_obj)) / (width - 1) * 1.2
+    objectives = rng.integers(0, width, size=(n, 2)) / (width - 1) * 1.2
     owners = rng.choice([1.0, 3.0], size=n)
     seqs = rng.permutation(n) + 1
     parent, offspring = (int(i) for i in rng.choice(n, size=2, replace=False))
     owners[offspring] = owners[parent]
     return objectives, owners, seqs, parent, offspring
-
-
-def _three_objectives(rng):
-    # One owner tag, so a tie always reaches the 2-D-only contributions.
-    objectives, owners, seqs, parent, offspring = _lattice_case(rng, n_obj=3)
-    return objectives, np.ones_like(owners), seqs, parent, offspring
 
 
 def _duplicate_pair(rng):
@@ -361,44 +357,74 @@ def _dominating_pair(rng):
     return objectives, owners, seqs, parent, offspring
 
 
-def _outcome(select, *args):
-    try:
-        return select(*args)
-    except UnsupportedDimensionError:  # exact hypervolume is 2-D only
-        return "unsupported"
-
-
 def test_selection_matches_reference_on_lattice_populations(monkeypatch):
-    # The decision path is the number of sorts: 0 when one of the pair
-    # dominates the other, 1 when the rows below the pair settle the ranks,
-    # 2 when they tie and the whole population is sorted.
-    sorts = []
-    real_sort = de.non_dominated_sort
-    monkeypatch.setattr(
-        de, "non_dominated_sort", lambda pts: sorts.append(len(pts)) or real_sort(pts)
-    )
+    # The decision path is the number of rankings: 0 when one of the pair
+    # dominates the other, 1 when the rows below the pair settle the ranks
+    # (one sweep), 2 when they tie and the whole population is sorted.
+    ranked = []
+
+    def counted(name):
+        real = getattr(de, name)
+        return lambda pts: ranked.append((name, len(pts))) or real(pts)
+
+    steps = ("_sweep_ranks", "non_dominated_sort")
+    for name in steps:
+        monkeypatch.setattr(de, name, counted(name))
     rng = np.random.default_rng(23)
     ref = np.array([1.0, 1.0])
     outcomes = {"parent": 0, "offspring": 0, "other": 0}
-    paths = {kind: Counter() for kind in ("2d", "3d", "duplicate", "dominating")}
+    paths = {kind: Counter() for kind in ("2d", "duplicate", "dominating")}
     cases = (
         [("2d", _lattice_case(rng)) for _ in range(300)]
-        + [("3d", _three_objectives(rng)) for _ in range(100)]
         + [("duplicate", _duplicate_pair(rng)) for _ in range(60)]
         + [("dominating", _dominating_pair(rng)) for _ in range(60)]
     )
     for kind, (objectives, owners, seqs, parent, offspring) in cases:
         args = (objectives, owners, seqs, parent, offspring, ref)
-        expected = _outcome(_reference_victim, *args)
-        sorts.clear()
-        assert _outcome(mo_selection, *args) == expected
-        paths[kind][len(sorts)] += 1
-        if sorts[1:]:
-            assert sorts[1] == len(objectives)
-        if expected != "unsupported":
-            key = {parent: "parent", offspring: "offspring"}.get(expected, "other")
-            outcomes[key] += 1
+        expected = _reference_victim(*args)
+        ranked.clear()
+        assert mo_selection(*args) == expected
+        paths[kind][len(ranked)] += 1
+        assert tuple(name for name, _ in ranked) == steps[: len(ranked)]
+        if ranked[1:]:
+            assert ranked[1][1] == len(objectives)
+        key = {parent: "parent", offspring: "offspring"}.get(expected, "other")
+        outcomes[key] += 1
     assert min(outcomes.values()) >= 20, outcomes
     assert paths["dominating"] == {0: 60} and paths["duplicate"] == {2: 60}, paths
-    assert paths["3d"][1] > 0, paths
     assert min(sum(paths.values(), Counter()).values()) >= 20, paths
+
+
+def test_selection_rejects_three_objectives_before_any_sort(monkeypatch):
+    for name in ("_sweep_ranks", "non_dominated_sort", "hv_contributions"):
+        monkeypatch.setattr(de, name, lambda *args: pytest.fail("reached a kernel"))
+    objectives, owners, seqs, parent, offspring = _lattice_case(np.random.default_rng(5))
+    objectives = np.column_stack([objectives, objectives[:, 0]])
+    with pytest.raises(UnsupportedDimensionError):
+        mo_selection(objectives, owners, seqs, parent, offspring, REF)
+
+
+def test_selection_replays_every_choice_of_a_deep_run(monkeypatch):
+    # zdt2_mf d=10 on ladder 1/81/3 freezes a 121-member population, so
+    # every selection compares against 122 rows: the `zdt2_deep` benchmark
+    # workload at seed 0.  Each victim must equal the documented rule's,
+    # evaluated from the domination-matrix peel.
+    ladder = build_ladder(1, 81, 3)
+    bm = zdt2_mf(10, ladder)
+    calls = []
+
+    def checked(objectives, owners, seqs, parent, offspring, ref):
+        victim = mo_selection(objectives, owners, seqs, parent, offspring, ref)
+        expected = _reference_victim(
+            objectives, owners, seqs, parent, offspring, ref, sort=_peel_fronts
+        )
+        calls.append(victim == expected)
+        return victim
+
+    monkeypatch.setattr(optimizer, "mo_selection", checked)
+    for variant in ("nsga2", "epsnet"):
+        optimizer.run(
+            bm.space, ladder, variant, bm.evaluate, optimizer.StoppingCriteria(max_tae=2000),
+            0, objective_bounds=bm.objective_bounds,
+        )
+    assert len(calls) > 3000 and all(calls), calls.count(False)

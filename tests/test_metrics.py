@@ -11,6 +11,7 @@ from modehb.metrics import (
     attainment_surface,
     empirical_best_hv,
     final_front,
+    final_hv,
     hv_trajectory,
     log_hv_diff,
     normalize,
@@ -87,6 +88,7 @@ def test_hv_trajectory_is_zero_until_first_full_fidelity_record():
     )
     series = hv_trajectory(run, UNIT)
     assert series.hv == pytest.approx([0.0, 0.0, 0.25])
+    assert final_hv(make_run([(0.1, 0.1)], fidelities=[1.0]), UNIT) == 0.0
 
 
 def test_hv_trajectory_never_decreases():
@@ -107,7 +109,9 @@ def test_hv_trajectory_equals_hypervolume_of_each_prefix():
     f1 = rng.integers(-1, 12, size=300)
     pts = np.column_stack([f1, 10 - f1 + rng.integers(0, 4, size=300)]) / 10.0
     fids = list(rng.choice(LADDER.levels, size=300))
-    series = hv_trajectory(make_run(pts, fidelities=fids), UNIT)
+    run = make_run(pts, fidelities=fids)
+    series = hv_trajectory(run, UNIT)
+    assert final_hv(run, UNIT) == series.hv[-1]
     ref = np.array([1.0, 1.0])
     for i in range(300):
         prefix = [p for p, f in zip(pts[: i + 1], fids) if f == LADDER.b_max]

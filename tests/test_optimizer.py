@@ -157,6 +157,30 @@ def test_asking_again_before_a_tell_returns_the_same_proposal():
         opt.tell(*BENCH.evaluate(*proposal))
 
 
+# Results whose objectives or cost cannot be archived.
+UNARCHIVABLE = [
+    ([0.5, 0.5], np.nan),
+    ([0.5, 0.5], -1.0),
+    ([0.5, 0.5], np.inf),
+    ([0.5, 0.5], None),
+    (["a", "b"], 1.0),
+]
+
+
+@pytest.mark.parametrize("result", UNARCHIVABLE)
+def test_a_result_that_cannot_be_archived_fails_the_run(result):
+    # max_tae ends the run even where a bad cost keeps max_wallclock from
+    # tripping.
+    stop = StoppingCriteria(max_tae=30, max_wallclock=5.0)
+    with pytest.raises(EvaluationError):
+        run(
+            BENCH.space, LADDER, "nsga2", lambda genotype, fidelity: result, stop, 0,
+            objective_bounds=BENCH.objective_bounds,
+        )
+    with pytest.raises(EvaluationError):
+        run_random_search(BENCH.space, LADDER, lambda genotype, fidelity: result, stop, 0)
+
+
 @pytest.mark.parametrize("variant", ["nsga2", "random_search"])
 def test_a_rejected_tell_changes_nothing(variant):
     # A long run survives one bad evaluation: after it, the run goes on
@@ -169,6 +193,9 @@ def test_a_rejected_tell_changes_nothing(variant):
             for bad in ([np.nan, 0.5], [0.5, -np.inf], [0.5], [0.1, 0.2, 0.3], [[0.1, 0.2]]):
                 with pytest.raises(EvaluationError):
                     opt.tell(bad, 1.0)
+            for bad in UNARCHIVABLE:
+                with pytest.raises(EvaluationError):
+                    opt.tell(*bad)
                 assert (opt.tae, opt.cost) == before and opt.ask() is proposal
         opt.tell(*BENCH.evaluate(*proposal))
     assert_same_columns(opt.trajectory(), ask_tell(variant).trajectory())

@@ -15,6 +15,7 @@ from modehb.errors import (
 from modehb.pareto import (
     RANKING_STRATEGIES,
     _peel_fronts,
+    _sweep_ranks,
     crowding_distance,
     epsnet_order,
     hv_contributions,
@@ -65,13 +66,27 @@ def test_nds_matches_bruteforce():
     assert non_dominated_sort(chain) == nds_bf(chain)
 
 
+def _front_index(fronts):
+    rank = [-1] * sum(map(len, fronts))
+    for k, front in enumerate(fronts):
+        for i in front:
+            rank[i] = k
+    return rank
+
+
 def _assert_both_paths(pts, oracle=True):
     # The public sort takes the 2-D sweep; the domination-matrix peel that
-    # serves three or more objectives must agree on the same points.
+    # serves three or more objectives must agree on the same points, and
+    # the sweep's ranks (which survivor selection compares) are each
+    # point's front index.
     fronts = non_dominated_sort(pts)
-    assert fronts == _peel_fronts(pts)
+    peeled = _peel_fronts(pts)
+    assert fronts == peeled
+    assert _sweep_ranks(pts) == _front_index(peeled)
     if oracle:
-        assert fronts == nds_bf(pts)
+        brute = nds_bf(pts)
+        assert fronts == brute
+        assert _sweep_ranks(pts) == _front_index(brute)
 
 
 def test_nds_two_objective_sweep_matches_peel_and_bruteforce():
