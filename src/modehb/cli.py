@@ -415,6 +415,8 @@ def cmd_bench_oracle(
     ladder_spec: str = "1,27,3",
     samples: int = 20001,
 ) -> int:
+    if samples < 1:
+        raise _UsageError(f"--samples: {samples} is below 1")
     try:
         b_min, b_max, eta = ladder_spec.split(",")
         ladder = build_ladder(float(b_min), float(b_max), int(eta))

@@ -1,15 +1,16 @@
 """The optimization loop: DE-evolved successive-halving sub-populations.
 
 One run keeps a fixed-capacity sub-population per fidelity level (sizes
-frozen from the first, largest bracket).  The first bracket fills them
-vanilla-SH style: random genotypes at the cheapest fidelity, the top
-1/eta promoted and re-evaluated one level up.  Every later bracket walks
-its rungs spending the planned per-rung evaluation count (cycling over
-the sub-population when a rung is larger than its capacity), evolving
-each target with rand/1 mutation over the parent pool (the genotypes
-promoted out of the previous rung of the same bracket), binomial
-crossover, and rank/hypervolume survivor selection against the global
-population.
+frozen from the first, largest bracket).  Every bracket is one walk over
+its rungs, cheapest first: a rung is evaluated, then its top 1/eta by
+front rank and variant ordering (``promote``) become the parent pool of
+the bracket's next rung.  The opening bracket evaluates what it is given:
+uniform genotypes (``encode_sample``) at the cheapest fidelity, each drawn
+as it is proposed, and then each parent pool as promoted.  Every later
+rung spends its planned evaluation count (cycling over the sub-population
+when a rung is larger than its capacity), evolving each target with
+rand/1 mutation over the parent pool, binomial crossover, and
+rank/hypervolume survivor selection against the global population.
 
 Each promotion refreshes the parent pool at the target fidelity, pools
 persist across the brackets of one iteration and are cleared between
@@ -36,7 +37,8 @@ so each slot spends exactly one evaluation.  A child that is new on its
 first draw uses the same RNG draws as plain DE.
 
 Both optimizers are generators of proposals: each yields a ``(genotype,
-fidelity)`` pair and is sent the ``(seq, objectives)`` of its evaluation.
+fidelity)`` pair and is sent the ``(seq, objectives)`` of its evaluation,
+and every RNG draw of a run is made inside it, as it works out a proposal.
 ``Optimizer`` drives one of them by ask and tell, and owns the archive.
 ``tell`` takes the next proposal at once, and ``run`` checks the stop only
 before it asks, so the draw that meets an exhausted budget is still drawn,
@@ -160,10 +162,11 @@ def initialize(
     de_params: DEParams | None = None,
     objective_bounds=((0.0, 1.0), (0.0, 1.0)),
 ) -> OptimizerState:
-    """Fresh run state with the lowest sub-population sampled (unevaluated).
+    """Fresh run state: every row laid out and unevaluated, no RNG draw made.
 
-    Sub-population capacities are the first bracket's rung sizes; higher
-    fidelities are filled by the first bracket's promotions as it runs.
+    Sub-population capacities are the first bracket's rung sizes.  The
+    opening bracket fills the rows as it runs: the cheapest with uniform
+    samples drawn as they are proposed, the others with its promotions.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected {sorted(VARIANTS)}")
@@ -174,24 +177,20 @@ def initialize(
     lo, hi = np.array(objective_bounds, dtype=float).T
     if np.any(hi <= lo):
         raise NormalizationError(f"degenerate objective bounds {objective_bounds}")
-    rng = derive_rng(seed, "optimizer")
     capacities = dict(dehb_iteration_plan(ladder)[0].rungs)
     ends = np.cumsum(list(capacities.values()))
     rows = {
         level: range(end - n, end) for (level, n), end in zip(capacities.items(), ends)
     }
     n_rows = int(ends[-1])
-    genotypes = np.zeros((n_rows, len(space)))
-    for row in rows[ladder.levels[0]]:
-        genotypes[row] = encode_sample(space, rng)
     return OptimizerState(
         space=space,
         variant=variant,
         de_params=de_params or DEParams(),
-        rng=rng,
+        rng=derive_rng(seed, "optimizer"),
         rows=rows,
         ref=hi,
-        genotypes=genotypes,
+        genotypes=np.zeros((n_rows, len(space))),
         objectives=np.full((n_rows + 1, len(hi)), np.nan),
         owners=np.repeat(list(capacities) + [np.nan], list(capacities.values()) + [1]),
         seqs=np.zeros(n_rows + 1, dtype=int),
@@ -300,50 +299,39 @@ def evolve_rung(state: OptimizerState, fidelity: float, n_slots: int):
         _apply_selection(state, row, child, fidelity, told)
 
 
-def _promote_level(state: OptimizerState, level: float, k: int) -> np.ndarray:
-    """Promote up to k members of the sub-population at ``level``."""
-    rows = state.rows[level]
-    return promote(
-        state.objectives[rows], state.genotypes[rows], min(k, len(rows)), state.variant
-    )
-
-
 def _fill_rows(state: OptimizerState, level: float, genotypes):
     """Propose ``genotypes`` at ``level``, each stored in the next row of
-    that level's sub-population.  None was drawn, so each takes its
-    ``config_key`` once its evaluation arrives."""
+    that level's sub-population.  Each takes its ``config_key`` once its
+    evaluation arrives; a lazy ``genotypes`` is advanced once per row."""
     for row, genotype in zip(state.rows[level], genotypes):
         told = yield genotype, level
         state.seen.add((config_key(state.space, genotype), level))
         state.store(row, genotype, level, told)
 
 
-def _vanilla_bracket(state: OptimizerState, bracket: BracketPlan):
-    """First bracket: evaluate the random init, promote, fill upwards."""
-    b_min, _ = bracket.rungs[0]
-    yield from _fill_rows(state, b_min, state.genotypes[state.rows[b_min]])
-    for (level, _), (nxt, n_nxt) in zip(bracket.rungs, bracket.rungs[1:]):
-        state.parent_pool[nxt] = _promote_level(state, level, n_nxt)
-        yield from _fill_rows(state, nxt, state.parent_pool[nxt])
-
-
-def _de_bracket(state: OptimizerState, bracket: BracketPlan):
-    for i, (level, n_configs) in enumerate(bracket.rungs):
-        yield from evolve_rung(state, level, n_configs)
-        if i + 1 < len(bracket.rungs):
-            nxt, n_nxt = bracket.rungs[i + 1]
-            state.parent_pool[nxt] = _promote_level(state, level, n_nxt)
-
-
 def _mo_dehb(state: OptimizerState, plan: list[BracketPlan]):
-    """MO-DEHB's proposals, one DEHB iteration after another; only the
-    opening bracket starts from unevaluated sub-populations."""
-    fill = _vanilla_bracket
+    """MO-DEHB's proposals, one DEHB iteration after another: every bracket
+    walks its rungs as the module docstring describes."""
+    opening = True
     while True:
         state.parent_pool.clear()
         for bracket in plan:
-            yield from fill(state, bracket)
-            fill = _de_bracket
+            for i, (level, n_configs) in enumerate(bracket.rungs):
+                if not opening:
+                    yield from evolve_rung(state, level, n_configs)
+                elif i == 0:
+                    samples = (encode_sample(state.space, state.rng) for _ in range(n_configs))
+                    yield from _fill_rows(state, level, samples)
+                else:
+                    yield from _fill_rows(state, level, state.parent_pool[level])
+                if i + 1 < len(bracket.rungs):
+                    nxt, n_nxt = bracket.rungs[i + 1]
+                    rows = state.rows[level]
+                    state.parent_pool[nxt] = promote(
+                        state.objectives[rows], state.genotypes[rows],
+                        min(n_nxt, len(rows)), state.variant,
+                    )
+            opening = False
 
 
 def _random_search(space: SearchSpace, ladder: FidelityLadder, seed: int):
@@ -360,11 +348,11 @@ class Optimizer:
 
     ``ask()`` returns the pending ``(genotype, fidelity)`` proposal.  Only
     one is out at a time, so asking again before a tell returns the same.
-    ``tell(objectives, cost)`` reports its evaluation: two finite objectives
-    and a finite, non-negative cost in seconds.  A tell that fails
-    validation raises EvaluationError and changes nothing.  A valid one
-    becomes evaluation ``tae`` of the archive, adds to ``cost``, and draws
-    the next proposal.
+    ``tell(objectives, cost)`` reports its evaluation: two finite real
+    objectives and a finite, non-negative real cost in seconds.  A tell
+    that fails validation raises EvaluationError and changes nothing.  A
+    valid one becomes evaluation ``tae`` of the archive, adds to ``cost``,
+    and draws the next proposal.
     """
 
     def __init__(
@@ -394,6 +382,9 @@ class Optimizer:
 
     def tell(self, objectives, cost: float):
         try:
+            # Casting a complex value to float only warns and drops its imaginary part.
+            if np.iscomplexobj(objectives) or np.iscomplexobj(cost):
+                raise TypeError(f"complex value in {objectives!r}, {cost!r}")
             objectives = np.asarray(objectives, dtype=float)
             cost = float(cost)
         except (TypeError, ValueError) as exc:

@@ -633,6 +633,12 @@ def test_bench_oracle_zdt1_sampling_error(capsys):
     assert float(error_line.split()[1]) < 1e-4
 
 
-def test_bench_oracle_usage_errors():
+def test_bench_oracle_usage_errors(capsys):
     assert cli.main(["bench-oracle", "nope"]) == 2
     assert cli.main(["bench-oracle", "zdt1_mf", "--ladder", "1,20,3"]) == 2
+    capsys.readouterr()
+    # No sampled front at all, and one that would print a sampled HV of 0.
+    for samples in ("-1", "0"):
+        assert cli.main(["bench-oracle", "zdt1_mf", "--samples", samples]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --samples: {samples} is below 1\n"

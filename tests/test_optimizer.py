@@ -1,5 +1,6 @@
 """Tests for the optimization loop: budgets, populations, determinism."""
 
+import math
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -13,7 +14,7 @@ from modehb.optimizer import (
     Optimizer,
     StoppingCriteria,
     _fill_rows,
-    _vanilla_bracket,
+    _mo_dehb,
     derive_rng,
     evolve_rung,
     initialize,
@@ -23,7 +24,7 @@ from modehb.optimizer import (
     tae_budget,
 )
 from modehb.scheduler import build_ladder, dehb_iteration_plan
-from modehb.space import config_key, decode
+from modehb.space import config_key, decode, encode_sample
 
 LADDER = build_ladder(1, 9, 3)
 BENCH = zdt1_mf(3, LADDER)
@@ -57,11 +58,12 @@ def rows_of(result):
     ]
 
 
-def drive(records, objective_fn, proposals):
-    """Evaluate every proposal of a finite generator, sending each its
-    ``(seq, objectives)``; the Rows are appended to ``records`` in seq order."""
-    told = None
-    while True:
+def drive(records, objective_fn, proposals, n=math.inf):
+    """Evaluate the first ``n`` proposals (every one, of a finite generator),
+    sending each but the n-th its ``(seq, objectives)``; the Rows are
+    appended to ``records`` in seq order."""
+    told, end = None, len(records) + n
+    while len(records) < end:
         try:
             genotype, fidelity = proposals.send(told)
         except StopIteration:
@@ -164,6 +166,9 @@ UNARCHIVABLE = [
     ([0.5, 0.5], np.inf),
     ([0.5, 0.5], None),
     (["a", "b"], 1.0),
+    # A complex array only warns when cast to float, and drops its imaginary part.
+    (np.array([0.5 + 1j, 0.5]), 1.0),
+    ([0.5, 0.5], np.complex128(1.0)),
 ]
 
 
@@ -219,19 +224,26 @@ def test_initialize_freezes_first_bracket_capacities():
     assert sizes == {1.0: 27, 3.0: 9, 9.0: 3, 27.0: 1}
 
 
-def test_initialize_samples_lowest_subpopulation_unevaluated():
+def test_initialize_draws_nothing_and_the_opening_rung_samples_as_it_proposes():
     state = initialize(BENCH.space, LADDER, seed=3, variant="nsga2")
     assert state.rows == {1.0: range(0, 9), 3.0: range(9, 12), 9.0: range(12, 13)}
     assert state.genotypes.shape == (13, 3)
-    # Only the b_min slice is sampled.
-    low = state.genotypes[:9]
-    assert np.all((low >= 0.0) & (low <= 1.0)) and len(np.unique(low, axis=0)) == 9
-    assert not state.genotypes[9:].any()
-    # No row is evaluated yet.
+    # No row is evaluated or filled yet, and the optimizer stream is untouched.
+    assert not state.genotypes.any()
     assert not state.seqs.any() and np.isnan(state.objectives).all()
     assert state.seen == set()
-    again = initialize(BENCH.space, LADDER, seed=3, variant="nsga2")
-    assert np.array_equal(state.genotypes, again.genotypes)
+    assert state.rng.random() == derive_rng(3, "optimizer").random()
+    # The opening rung proposes that stream's uniform samples in row order;
+    # the tenth proposal is a promotion, which draws nothing.
+    state = initialize(BENCH.space, LADDER, seed=3, variant="nsga2")
+    rng = derive_rng(3, "optimizer")
+    records = []
+    drive(records, BENCH.evaluate, _mo_dehb(state, dehb_iteration_plan(LADDER)), n=10)
+    assert [rec.fidelity for rec in records] == [1.0] * 9 + [3.0]
+    for row, rec in enumerate(records[:9]):
+        assert np.array_equal(rec.genotype, encode_sample(BENCH.space, rng))
+        assert np.array_equal(state.genotypes[row], rec.genotype)
+    assert state.rng.random() == rng.random()
 
 
 def test_initialize_validation():
@@ -296,8 +308,10 @@ def test_promote_selects_top_ranked_genotypes():
 
 def test_parent_pool_keeps_promoted_genotypes_when_rows_change():
     state = initialize(BENCH.space, LADDER, seed=0, variant="nsga2")
-    opening = dehb_iteration_plan(LADDER)[0]
-    drive([], BENCH.evaluate, _vanilla_bracket(state, opening))
+    # The opening bracket of ladder (1, 9, 3) makes 9 + 3 + 1 proposals.
+    records = []
+    drive(records, BENCH.evaluate, _mo_dehb(state, dehb_iteration_plan(LADDER)), n=13)
+    assert [rec.fidelity for rec in records] == [1.0] * 9 + [3.0] * 3 + [9.0]
     assert set(state.parent_pool) == {3.0, 9.0}
     before = {level: np.array(pool) for level, pool in state.parent_pool.items()}
     state.genotypes[:] = -1.0
@@ -582,8 +596,8 @@ def test_config_key_runs_once_per_draw_and_once_per_unsampled_evaluation(
     for name in ("config_key", "crossover_binomial", "encode_sample"):
         count(name)
     result = small_run(max_tae=100)
-    # The first bracket evaluates its random initial population and then
-    # the genotypes it promotes; neither was drawn, so each needs a key.
+    # The first bracket evaluates its uniform samples and then the
+    # genotypes it promotes; none is redrawn, so each is keyed once.
     first_bracket = dehb_iteration_plan(LADDER)[0].rungs
     n_initial = first_bracket[0][1]
     unsampled = sum(n for _, n in first_bracket)
