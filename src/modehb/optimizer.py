@@ -120,8 +120,9 @@ class OptimizerState:
 
     The global population is stored as parallel row arrays grouped by
     fidelity, cheapest first; ``rows[level]`` is the fixed block of rows
-    owned by that level's sub-population.  ``objectives``, ``owners`` and
-    ``seqs`` hold one spare last row for the offspring under selection.
+    owned by that level's sub-population.  ``genotypes``, ``objectives``,
+    ``owners`` and ``seqs`` hold one spare last row for the offspring under
+    selection.
     ``objectives`` are the raw values of the archived evaluations; ``ref``, the
     upper corner of the declared objective bounds, is the hypervolume
     reference point in that same space.  A row's seq is 0 (objectives NaN)
@@ -143,14 +144,11 @@ class OptimizerState:
     seen: set[tuple] = field(default_factory=set)
 
     def store(self, row: int, genotype, fidelity: float, told: tuple):
-        """Make the evaluated proposal the member held in ``row``; the spare
-        last row takes an offspring's fidelity as its owner, not its genotype.
-        ``told`` is the ``(seq, objectives)`` pair its evaluation sent back.
+        """Make the evaluated proposal, evaluated at ``fidelity``, the member
+        held in ``row``.  ``told`` is the ``(seq, objectives)`` pair its
+        evaluation sent back.
         """
-        if row < len(self.genotypes):
-            self.genotypes[row] = genotype
-        else:
-            self.owners[row] = fidelity
+        self.genotypes[row], self.owners[row] = genotype, fidelity
         self.seqs[row], self.objectives[row] = told
 
 
@@ -190,7 +188,7 @@ def initialize(
         rng=derive_rng(seed, "optimizer"),
         rows=rows,
         ref=hi,
-        genotypes=np.zeros((n_rows, len(space))),
+        genotypes=np.zeros((n_rows + 1, len(space))),
         objectives=np.full((n_rows + 1, len(hi)), np.nan),
         owners=np.repeat(list(capacities) + [np.nan], list(capacities.values()) + [1]),
         seqs=np.zeros(n_rows + 1, dtype=int),
@@ -205,7 +203,8 @@ def promote(objectives, genotypes, k: int, variant: str) -> np.ndarray:
 
 def _fill_ins(state: OptimizerState, fidelity: float):
     """The parent pool at ``fidelity``, and the genotypes of the global
-    population not in it, which may top it up (None if it has three or more).
+    population not in it, which may top it up (None if it has three or more);
+    the spare last row is never one of them.
 
     Nothing they depend on changes between the draws of one slot, so each
     slot computes them once.
@@ -213,11 +212,11 @@ def _fill_ins(state: OptimizerState, fidelity: float):
     pool = state.parent_pool.get(fidelity, ())
     if len(pool) >= 3:
         return pool, None
+    members = state.genotypes[:-1]
     if len(pool) == 0:
-        return pool, state.genotypes
-    pool = np.reshape(pool, (-1, state.genotypes.shape[1]))
-    in_pool = (state.genotypes[:, None] == pool).all(axis=2).any(axis=1)
-    return pool, state.genotypes[~in_pool]
+        return pool, members
+    in_pool = (members[:, None] == pool).all(axis=2).any(axis=1)
+    return pool, members[~in_pool]
 
 
 def _mutation_pool(state: OptimizerState, pool, candidates) -> np.ndarray:
@@ -246,7 +245,7 @@ def _apply_selection(state: OptimizerState, row: int, child, fidelity, told):
     The offspring is stored in the spare last row; unless it is the victim
     it takes the victim's row, which always lies in the parent's slice.
     """
-    spare = len(state.genotypes)
+    spare = len(state.genotypes) - 1
     state.store(spare, child, fidelity, told)
     victim = mo_selection(
         state.objectives, state.owners, state.seqs, row, spare, state.ref
@@ -417,7 +416,8 @@ class Optimizer:
 
 def _drive(opt: Optimizer, objective_fn, stop: StoppingCriteria, benchmark_name):
     """Evaluate each proposal and tell its result until the stop trips,
-    never before the first; return the archive."""
+    never before the first; return the archive.  A cost that leaves the sum
+    unchanged fails a run that only ``max_wallclock`` can stop."""
     while (stop_cause := stop.cause_if_tripped(opt.tae, opt.cost)) is None:
         genotype, fidelity = opt.ask()
         try:
@@ -426,7 +426,13 @@ def _drive(opt: Optimizer, objective_fn, stop: StoppingCriteria, benchmark_name)
             raise EvaluationError(
                 f"evaluation failed at fidelity {fidelity}: {exc}"
             ) from exc
+        spent = opt.cost
         opt.tell(objectives, cost)
+        if stop.max_tae is None and opt.cost == spent:
+            raise EvaluationError(
+                f"cost {cost!r} at fidelity {fidelity} does not add to the summed "
+                "cost, so max_wallclock, the only limit, would never stop the run"
+            )
     return opt.trajectory(stop_cause, benchmark_name)
 
 

@@ -65,10 +65,6 @@ class SearchSpace:
     # One decoder per parameter, built once so config_key skips the kind
     # dispatch on every call.
     decoders: tuple = field(init=False, repr=False, compare=False)
-    # (lower bounds, spans) when every parameter is continuous on a linear
-    # scale: config_key then decodes the whole genotype in two array
-    # operations, with the same arithmetic as the decoders.  Else None.
-    affine: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.params) < 1:
@@ -77,13 +73,6 @@ class SearchSpace:
         if len(set(names)) != len(names):
             raise ValueError("parameter names must be unique")
         object.__setattr__(self, "decoders", tuple(map(_decoder, self.params)))
-        affine = None
-        if all(p.kind == "continuous" and not p.log for p in self.params):
-            affine = (
-                np.array([p.lower for p in self.params], dtype=float),
-                np.array([p.upper - p.lower for p in self.params], dtype=float),
-            )
-        object.__setattr__(self, "affine", affine)
 
     def __len__(self) -> int:
         return len(self.params)
@@ -150,9 +139,5 @@ def config_key(space: SearchSpace, genotype) -> tuple:
     same configuration.  Unlike ``decode`` it neither validates the
     genotype nor builds a dict, so it is cheap enough to call per draw.
     """
-    values = np.asarray(genotype, dtype=float)
-    if space.affine is not None:
-        lower, span = space.affine
-        return tuple((lower + values * span).tolist())
-    values = values.tolist()
+    values = np.asarray(genotype, dtype=float).tolist()
     return tuple([decode_value(c) for decode_value, c in zip(space.decoders, values)])

@@ -227,7 +227,7 @@ def test_initialize_freezes_first_bracket_capacities():
 def test_initialize_draws_nothing_and_the_opening_rung_samples_as_it_proposes():
     state = initialize(BENCH.space, LADDER, seed=3, variant="nsga2")
     assert state.rows == {1.0: range(0, 9), 3.0: range(9, 12), 9.0: range(12, 13)}
-    assert state.genotypes.shape == (13, 3)
+    assert state.genotypes.shape == (14, 3)
     # No row is evaluated or filled yet, and the optimizer stream is untouched.
     assert not state.genotypes.any()
     assert not state.seqs.any() and np.isnan(state.objectives).all()
@@ -422,6 +422,33 @@ def test_wallclock_stop():
     assert total >= 20.0
     # The limit is checked before each evaluation, never mid-run after one.
     assert total - rows_of(result)[-1].cost < 20.0
+
+
+def test_a_zero_cost_fails_a_run_that_only_max_wallclock_stops():
+    # The summed cost never grows, so max_wallclock alone would never trip;
+    # the guard stops a driver that loops on.
+    calls = Counter()
+
+    def free(genotype, fidelity):
+        calls["evaluate"] += 1
+        if calls["evaluate"] > 10_000:
+            raise RuntimeError("still evaluating")
+        return [0.5, 0.5], 0.0
+
+    stop = StoppingCriteria(max_wallclock=5.0)
+    with pytest.raises(EvaluationError, match="max_wallclock"):
+        run(BENCH.space, LADDER, "nsga2", free, stop, 0, objective_bounds=BENCH.objective_bounds)
+    with pytest.raises(EvaluationError, match="max_wallclock"):
+        run_random_search(BENCH.space, LADDER, free, stop, 0)
+    # With a max_tae, a cost of 0 is accepted and max_tae ends the run.
+    calls.clear()
+    stop = StoppingCriteria(max_tae=50, max_wallclock=5.0)
+    for result in (
+        run(BENCH.space, LADDER, "nsga2", free, stop, 0, objective_bounds=BENCH.objective_bounds),
+        run_random_search(BENCH.space, LADDER, free, stop, 0),
+    ):
+        assert result.metadata.stop_cause == "max_tae"
+        assert len(result.cost) == 50 and not result.cost.any()
 
 
 def test_evaluation_failures_are_wrapped():
@@ -622,6 +649,19 @@ def test_mutation_pool_tops_up_with_one_uniform_per_fill_in(in_pool):
         topped = optimizer._mutation_pool(state, pool, candidates)
         expected = candidates[optimizer.distinct_indices(uniforms, len(candidates))]
         assert np.array_equal(topped, np.concatenate([pool, expected]))
+
+
+def test_fill_ins_never_offer_the_spare_row():
+    state = initialize(BENCH.space, LADDER, 0, "nsga2", objective_bounds=BENCH.objective_bounds)
+    members = np.random.default_rng(0).random((len(state.genotypes) - 1, 3))
+    state.genotypes[:-1] = members
+    sentinel = np.full(3, 0.25)
+    state.genotypes[-1] = sentinel
+    for pool in ((), members[[4]]):
+        state.parent_pool[1.0] = pool
+        _, candidates = optimizer._fill_ins(state, 1.0)
+        assert len(candidates) == len(members) - len(pool)
+        assert not (candidates == sentinel).all(axis=1).any()
 
 
 # ---------------------------------------------------------- random search
