@@ -1,9 +1,10 @@
 """Synthetic multi-fidelity benchmarks with known Pareto fronts.
 
-Every benchmark is deterministic and exposes a geometric fidelity ladder.
-Lower fidelities distort the objectives by an additive bias
-``bias * (1 - b / b_max)`` that vanishes at full fidelity, and simulated
-cost equals the fidelity value in seconds.
+Every benchmark is deterministic and exposes a geometric fidelity ladder;
+its evaluator accepts the exact ladder levels only.  Lower fidelities
+distort the objectives by an additive bias ``bias * (1 - b / b_max)``
+that vanishes at full fidelity, and simulated cost equals the fidelity
+value in seconds.
 
 The ZDT-style problems declare the full-fidelity front box (0, 1)^2 as
 their normalization bounds; values outside (bad configurations, biased
@@ -13,7 +14,6 @@ affect front geometry or hypervolume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,7 +23,7 @@ from .errors import BenchmarkError, DimensionError, OracleError
 from .metrics import REF, normalize
 from .pareto import hypervolume, non_dominated_sort
 from .scheduler import FidelityLadder
-from .space import ParameterSpec, SearchSpace
+from .space import ParameterSpec, SearchSpace, config_key
 
 # Seed of the precomputed toy-grid objective table.  Changing it changes
 # the benchmark, so it is part of the published problem definition.
@@ -58,14 +58,12 @@ def _check_inputs(space: SearchSpace, ladder: FidelityLadder, genotype, fidelity
         raise DimensionError(
             f"genotype has shape {genotype.shape}, expected ({len(space)},)"
         )
-    if fidelity not in ladder.levels and not any(
-        math.isclose(fidelity, lv, rel_tol=1e-9) for lv in ladder.levels
-    ):
+    if fidelity not in ladder.levels:
         raise BenchmarkError(f"fidelity {fidelity} is not a ladder level")
     return genotype
 
 
-def _zdt(name: str, d: int, ladder: FidelityLadder, bias: float, shape) -> Benchmark:
+def _zdt(name: str, d: int, ladder: FidelityLadder, bias: float, shape, true_hv) -> Benchmark:
     if d < 2:
         raise BenchmarkError(f"{name} needs d >= 2, got {d}")
     space = SearchSpace(
@@ -89,7 +87,6 @@ def _zdt(name: str, d: int, ladder: FidelityLadder, bias: float, shape) -> Bench
         t = np.linspace(0.0, 1.0, n)
         return np.column_stack([t, shape(t, 1.0)])
 
-    true_hv = {"zdt1_mf": 2.0 / 3.0, "zdt2_mf": 1.0 / 3.0}[name]
     return Benchmark(
         name=name,
         space=space,
@@ -103,12 +100,12 @@ def _zdt(name: str, d: int, ladder: FidelityLadder, bias: float, shape) -> Bench
 
 def zdt1_mf(d: int, ladder: FidelityLadder, bias: float = 0.5) -> Benchmark:
     """ZDT1 with a convex front f2 = 1 - sqrt(f1); true front HV = 2/3."""
-    return _zdt("zdt1_mf", d, ladder, bias, lambda f1, g: 1.0 - np.sqrt(f1 / g))
+    return _zdt("zdt1_mf", d, ladder, bias, lambda f1, g: 1.0 - np.sqrt(f1 / g), 2 / 3)
 
 
 def zdt2_mf(d: int, ladder: FidelityLadder, bias: float = 0.5) -> Benchmark:
     """ZDT2 with a concave front f2 = 1 - f1^2; true front HV = 1/3."""
-    return _zdt("zdt2_mf", d, ladder, bias, lambda f1, g: 1.0 - (f1 / g) ** 2)
+    return _zdt("zdt2_mf", d, ladder, bias, lambda f1, g: 1.0 - (f1 / g) ** 2, 1 / 3)
 
 
 def toy_table(k: int) -> np.ndarray:
@@ -138,8 +135,7 @@ def toy_grid(k: int, ladder: FidelityLadder, bias: float = 0.5) -> Benchmark:
         return np.array([i / (k - 1), table[i, j]])
 
     def evaluate(genotype, fidelity):
-        x = _check_inputs(space, ladder, genotype, fidelity)
-        i, j = (min(int(c * k), k - 1) for c in x)
+        i, j = config_key(space, _check_inputs(space, ladder, genotype, fidelity))
         offset = bias * (1.0 - fidelity / b_max)
         return cell_objectives(i, j) + offset, float(fidelity)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, metrics, optimizer
-from .errors import EmptyPopulationError, EvaluationError, MetricsError, ModehbError
+from .errors import EmptyPopulationError, EvaluationError, ModehbError
 from .de import DEParams
 from .scheduler import build_ladder
 from .optimizer import StoppingCriteria, tae_budget
@@ -148,10 +148,7 @@ def _execute_run(config: dict, opt_entry: dict, seed: int) -> metrics.RunTraject
             seed,
             benchmark_name=benchmark.name,
         )
-    de_params = DEParams(
-        scaling_factor=opt_entry.get("scaling_factor", 0.5),
-        crossover_prob=opt_entry.get("crossover_prob", 0.5),
-    )
+    de_params = DEParams(**{k: v for k, v in opt_entry.items() if k != "name"})
     return optimizer.run(
         benchmark.space,
         ladder,
@@ -343,6 +340,11 @@ def _load_runs(out_dir: Path):
             raise _UsageError(f"{out_dir / archive}: {exc.strerror}") from exc
         except ValueError as exc:
             raise _UsageError(f"{out_dir / archive}: malformed archive ({exc})") from exc
+        # `run` writes cost = fidelity >= b_min > 0, and the time grid is geometric.
+        if not (run.cost > 0).all():
+            raise _UsageError(f"{out_dir / archive}: a cost is not positive")
+        if not np.isin(run.fidelity, ladder.levels).all():
+            raise _UsageError(f"{out_dir / archive}: a fidelity is not a ladder level")
         runs[(name, seed)] = run
     return opt_names, seeds, best, benchmark, runs
 
@@ -392,10 +394,7 @@ def cmd_report(out_dir: str, attainment: str | None = None) -> int:
 
         opt_runs = [runs[(name, s)] for s in seeds]
         for k in ks:
-            try:
-                surface = metrics.attainment_surface(opt_runs, k, bounds)
-            except MetricsError as exc:
-                raise _UsageError(str(exc)) from exc
+            surface = metrics.attainment_surface(opt_runs, k, bounds)
             path = out / f"report_attainment_{name}_k{k}.csv"
             _write_csv(path, ["f1", "f2"], surface.tolist())
 
@@ -429,13 +428,14 @@ def cmd_bench_oracle(
     print(f"objective_bounds: {benchmark.objective_bounds}")
     print(f"true_front_hv: {FLOAT_FMT % true_hv}")
     if benchmark.front is not None:
-        table = bench.toy_table(k)
         front_set = {tuple(p) for p in benchmark.front}
         print(f"cells: {k * k}")
         print("i,j,f1,f2,on_front")
         for i in range(k):
             for j in range(k):
-                f1, f2 = i / (k - 1), table[i, j]
+                # The cell's bin centre, at b_max where the bias is zero.
+                cell = (np.array([i, j]) + 0.5) / k
+                f1, f2 = benchmark.evaluate(cell, ladder.b_max)[0]
                 mark = int((f1, f2) in front_set)
                 print(f"{i},{j},{FLOAT_FMT % f1},{FLOAT_FMT % f2},{mark}")
         print(f"front_size: {len(benchmark.front)}")

@@ -67,17 +67,13 @@ from .space import SearchSpace, config_key, encode_sample
 
 VARIANTS = {"nsga2": "crowding", "epsnet": "epsnet"}
 
-# Fixed stream tags: every consumer derives its generator from
-# (tag, run seed), so adding a consumer never perturbs the others.
-_STREAMS = {"optimizer": 1, "benchmark": 2}
-
 # DE draws, then uniform draws, per slot before a repeat is evaluated anyway.
 MAX_DRAWS = 3
 
 
-def derive_rng(seed: int, stream: str) -> np.random.Generator:
-    """Named RNG sub-stream of a run seed."""
-    return np.random.default_rng(np.random.SeedSequence([_STREAMS[stream], seed]))
+def derive_rng(seed: int) -> np.random.Generator:
+    """The optimizer's generator for a run seed, from entropy ``[1, seed]``."""
+    return np.random.default_rng(np.random.SeedSequence([1, seed]))
 
 
 def tae_budget(n_hyperparameters: int) -> int:
@@ -185,7 +181,7 @@ def initialize(
         space=space,
         variant=variant,
         de_params=de_params or DEParams(),
-        rng=derive_rng(seed, "optimizer"),
+        rng=derive_rng(seed),
         rows=rows,
         ref=hi,
         genotypes=np.zeros((n_rows + 1, len(space))),
@@ -335,7 +331,7 @@ def _mo_dehb(state: OptimizerState, plan: list[BracketPlan]):
 
 def _random_search(space: SearchSpace, ladder: FidelityLadder, seed: int):
     """Uniform random genotypes, each proposed at b_max."""
-    rng = derive_rng(seed, "optimizer")
+    rng = derive_rng(seed)
     while True:
         yield encode_sample(space, rng), ladder.levels[-1]
 

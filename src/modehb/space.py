@@ -127,7 +127,7 @@ def decode(space: SearchSpace, genotype) -> dict:
         raise DimensionError(
             f"genotype has shape {genotype.shape}, expected ({len(space)},)"
         )
-    if np.any(genotype < 0.0) or np.any(genotype > 1.0):
+    if not np.all((genotype >= 0.0) & (genotype <= 1.0)):  # NaN fails too
         raise ValueError("genotype components must lie in [0, 1]")
     return dict(zip((p.name for p in space.params), config_key(space, genotype)))
 

@@ -70,11 +70,13 @@ def test_bias_shrinks_monotonically_toward_b_max():
 
 
 def test_zdt_rejects_off_ladder_fidelity_and_bad_shape():
-    bm = zdt1_mf(6, LADDER)
-    with pytest.raises(BenchmarkError):
-        bm.evaluate(np.zeros(6), 5.0)
+    # Evaluators accept exact ladder levels only, not one a ulp off b_max.
+    for bm in (zdt1_mf(6, LADDER), toy_grid(4, TOY_LADDER)):
+        for fidelity in (5.0, np.nextafter(bm.ladder.b_max, 0.0)):
+            with pytest.raises(BenchmarkError):
+                bm.evaluate(np.zeros(len(bm.space)), fidelity)
     with pytest.raises(DimensionError):
-        bm.evaluate(np.zeros(5), 27.0)
+        zdt1_mf(6, LADDER).evaluate(np.zeros(5), 27.0)
 
 
 def test_zdt_requires_two_dimensions():

@@ -477,19 +477,23 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
 
     # `run` never writes a non-finite value, so one marks a malformed archive,
     # whether or not the row is at b_max.
-    def first_objective(name, value, fidelity):
+    def first_row(name, fidelity, column, value):
         def break_it(out):
             with (out / name).open(newline="") as fh:
                 rows = list(csv.reader(fh))
             assert rows[1][1] == fidelity
-            rows[1][4] = value
+            rows[1][column] = value
             with (out / name).open("w", newline="") as fh:
                 csv.writer(fh).writerows(rows)
         return break_it
 
-    assert archive in broken_copy("nan_b_max", first_objective(archive, "nan", "4"))
+    assert archive in broken_copy("nan_b_max", first_row(archive, "4", 4, "nan"))
     low = "modehb_nsga2_seed0_archive.csv"
-    assert low in broken_copy("inf_b_min", first_objective(low, "inf", "1"))
+    assert low in broken_copy("inf_b_min", first_row(low, "1", 4, "inf"))
+    # `run` writes cost = fidelity, a ladder level; the time grid is geometric.
+    for name, column, value in (("zero_cost", 2, "0"), ("negative_cost", 2, "-1"),
+                                ("off_ladder", 1, "3")):
+        assert low in broken_copy(name, first_row(low, "1", column, value))
 
     # A row shorter than the header, below b_max, is malformed too.
     def cut_row(name, index, n_fields):
@@ -625,7 +629,13 @@ def test_bench_oracle_toy_grid(capsys):
     out = capsys.readouterr().out
     assert "front_size: 2" in out
     assert "true_front_hv: 0.97087824783622" in out
-    assert sum(1 for line in out.splitlines() if line.count(",") == 4) == 17
+    cells = [line.split(",") for line in out.splitlines() if line.count(",") == 4][1:]
+    assert len(cells) == 16
+    # Each cell prints as f1 = i / (k - 1) and f2 = the toy table's entry.
+    table = bench.toy_table(4)
+    for i, j, f1, f2, _ in cells:
+        i, j = int(i), int(j)
+        assert (f1, f2) == (cli.FLOAT_FMT % (i / 3), cli.FLOAT_FMT % table[i, j])
 
 
 def test_bench_oracle_zdt1_sampling_error(capsys):

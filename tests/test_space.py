@@ -96,6 +96,8 @@ def test_decode_validates_genotype():
         decode(space, [0.5, 0.5, 0.5, 1.5])
     with pytest.raises(ValueError):
         decode(space, [-0.1, 0.5, 0.5, 0.5])
+    with pytest.raises(ValueError):
+        decode(space, [0.5, np.nan, 0.5, 0.5])
 
 
 def test_spec_validation():
