@@ -1,7 +1,9 @@
 """Synthetic multi-fidelity benchmarks with known Pareto fronts.
 
 Every benchmark is deterministic and exposes a geometric fidelity ladder;
-its evaluator accepts the exact ladder levels only.  Lower fidelities
+its evaluator accepts genotypes in [0, 1]^d (``space.check_genotype``:
+DimensionError for another length, ValueError for a component outside
+the cube or NaN) and the exact ladder levels only.  Lower fidelities
 distort the objectives by an additive bias ``bias * (1 - b / b_max)``
 that vanishes at full fidelity, and simulated cost equals the fidelity
 value in seconds.
@@ -19,11 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BenchmarkError, DimensionError, OracleError
+from .errors import BenchmarkError, OracleError
 from .metrics import REF, normalize
 from .pareto import hypervolume, non_dominated_sort
 from .scheduler import FidelityLadder
-from .space import ParameterSpec, SearchSpace, config_key
+from .space import ParameterSpec, SearchSpace, check_genotype, config_key
 
 # Seed of the precomputed toy-grid objective table.  Changing it changes
 # the benchmark, so it is part of the published problem definition.
@@ -53,11 +55,7 @@ class Benchmark:
 
 
 def _check_inputs(space: SearchSpace, ladder: FidelityLadder, genotype, fidelity):
-    genotype = np.asarray(genotype, dtype=float)
-    if genotype.shape != (len(space),):
-        raise DimensionError(
-            f"genotype has shape {genotype.shape}, expected ({len(space)},)"
-        )
+    genotype = check_genotype(space, genotype)
     if fidelity not in ladder.levels:
         raise BenchmarkError(f"fidelity {fidelity} is not a ladder level")
     return genotype

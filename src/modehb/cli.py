@@ -162,14 +162,14 @@ def _execute_run(config: dict, opt_entry: dict, seed: int) -> metrics.RunTraject
     )
 
 
-def _write_csv(path: Path, header: list[str], table):
-    """CSV of a header and rows of floats, each value in FLOAT_FMT, which
-    reads back bit for bit.  No field needs quoting, so each row is one
+def _write_csv(path: Path, header: list[str], table: np.ndarray):
+    """CSV of a header and a 2-D float array's rows, each value in FLOAT_FMT,
+    which reads back bit for bit.  No field needs quoting, so each row is one
     ``%`` format; the bytes are those of ``csv.writer`` (CRLF line ends)."""
     row_fmt = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(row_fmt % tuple(row) for row in table)
+        fh.writelines(row_fmt % tuple(row.tolist()) for row in table)
 
 
 def _archive_header(d: int) -> list[str]:
@@ -184,7 +184,7 @@ def write_archive_csv(path: Path, run: metrics.RunTrajectory):
     table = np.column_stack(
         [seq, run.fidelity, run.cost, np.cumsum(run.cost), run.objectives, run.genotypes]
     )
-    _write_csv(path, _archive_header(run.genotypes.shape[1]), table.tolist())
+    _write_csv(path, _archive_header(run.genotypes.shape[1]), table)
 
 
 def read_archive_csv(path: Path, metadata: metrics.RunMetadata) -> metrics.RunTrajectory:
@@ -389,21 +389,20 @@ def cmd_report(out_dir: str, attainment: str | None = None) -> int:
         diffs = [[metrics.log_hv_diff(h, best) for h in row] for row in opt_hv]
         for prefix, table in (("hv", opt_hv), ("loghvdiff", diffs)):
             mean = [np.mean(row) for row in table]
-            rows = np.column_stack([grid, table, mean]).tolist()
+            rows = np.column_stack([grid, table, mean])
             _write_csv(out / f"report_{prefix}_{name}.csv", header, rows)
 
         opt_runs = [runs[(name, s)] for s in seeds]
         for k in ks:
             surface = metrics.attainment_surface(opt_runs, k, bounds)
             path = out / f"report_attainment_{name}_k{k}.csv"
-            _write_csv(path, ["f1", "f2"], surface.tolist())
+            _write_csv(path, ["f1", "f2"], surface)
 
     # Average rank per seed, 1 = highest HV: count above + (count tied + 1) / 2.
     above = (hv[None] > hv[:, None]).sum(axis=1)
     tied = (hv[None] == hv[:, None]).sum(axis=1)
     ranks = (above + (tied + 1) / 2).sum(axis=2) / len(seeds)
-    rank_rows = np.column_stack([grid, ranks.T]).tolist()
-    _write_csv(out / "report_rank.csv", ["time"] + list(opt_names), rank_rows)
+    _write_csv(out / "report_rank.csv", ["time", *opt_names], np.column_stack([grid, ranks.T]))
     return 0
 
 

@@ -48,6 +48,7 @@ then discarded unevaluated.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,8 +342,9 @@ class Optimizer:
     "epsnet" (``run`` documents the arguments), or random search for
     "random_search".
 
-    ``ask()`` returns the pending ``(genotype, fidelity)`` proposal.  Only
-    one is out at a time, so asking again before a tell returns the same.
+    ``ask()`` returns the pending ``(genotype, fidelity)`` proposal, its
+    genotype read-only.  Only one is out at a time, so asking again before a
+    tell returns the same.
     ``tell(objectives, cost)`` reports its evaluation: two finite real
     objectives and a finite, non-negative real cost in seconds.  A tell
     that fails validation raises EvaluationError and changes nothing.  A
@@ -368,11 +370,12 @@ class Optimizer:
             name = f"modehb_{variant}"
         self._metadata = {"seed": seed, "optimizer": name, "ladder": ladder}
         self.tae, self.cost = 0, 0.0
-        # The archive's fidelity, cost, objectives and genotype columns.
-        self._columns = ([], [], [], [])
+        # The archive's rows, flat: fidelity, cost, objectives, genotype.
+        self._rows, self._width = array("d"), 4 + len(space)
         self._pending = next(self._proposals)
 
     def ask(self) -> tuple[np.ndarray, float]:
+        self._pending[0].setflags(write=False)
         return self._pending
 
     def tell(self, objectives, cost: float):
@@ -395,19 +398,18 @@ class Optimizer:
         if not 0.0 <= cost < math.inf:
             raise EvaluationError(f"cost must be finite and non-negative, got {cost}")
         genotype, fidelity = self._pending
-        fidelities, costs, objective_rows, genotypes = self._columns
-        fidelities.append(float(fidelity))
-        costs.append(cost)
-        objective_rows.append(values)
-        genotypes.append(genotype.copy())
+        self._rows.extend([fidelity, cost, *values])
+        self._rows.frombytes(genotype.tobytes())
         self.tae += 1
         self.cost += cost
         self._pending = self._proposals.send((self.tae, objectives))
 
     def trajectory(self, stop_cause=None, benchmark_name="") -> RunTrajectory:
-        """The evaluations told so far, as columns in seq order."""
+        """The evaluations told so far: column views of one table, seq order."""
         meta = RunMetadata(**self._metadata, benchmark=benchmark_name, stop_cause=stop_cause)
-        return RunTrajectory(*map(np.array, self._columns), metadata=meta)
+        table = np.array(self._rows).reshape(-1, self._width)
+        columns = table[:, 0], table[:, 1], table[:, 2:4], table[:, 4:]
+        return RunTrajectory(*columns, metadata=meta)
 
 
 def _drive(opt: Optimizer, objective_fn, stop: StoppingCriteria, benchmark_name):

@@ -116,20 +116,28 @@ def _decoder(spec: ParameterSpec):
     return partial(_rounded, raw, int(spec.lower), int(spec.upper))
 
 
-def decode(space: SearchSpace, genotype) -> dict:
-    """Map a genotype in [0, 1]^d to a {name: value} configuration.
+def check_genotype(space: SearchSpace, genotype) -> np.ndarray:
+    """The genotype as a float array, once it is checked to lie in [0, 1]^d.
 
     Raises:
         DimensionError: If the genotype length does not match the space.
+        ValueError: If a component lies outside [0, 1] or is NaN.
     """
     genotype = np.asarray(genotype, dtype=float)
     if genotype.shape != (len(space),):
         raise DimensionError(
             f"genotype has shape {genotype.shape}, expected ({len(space)},)"
         )
-    if not np.all((genotype >= 0.0) & (genotype <= 1.0)):  # NaN fails too
+    if not all(0.0 <= c <= 1.0 for c in genotype.tolist()):  # NaN fails too
         raise ValueError("genotype components must lie in [0, 1]")
-    return dict(zip((p.name for p in space.params), config_key(space, genotype)))
+    return genotype
+
+
+def decode(space: SearchSpace, genotype) -> dict:
+    """Map a genotype in [0, 1]^d (``check_genotype``) to a {name: value}
+    configuration."""
+    values = config_key(space, check_genotype(space, genotype))
+    return dict(zip((p.name for p in space.params), values))
 
 
 def config_key(space: SearchSpace, genotype) -> tuple:

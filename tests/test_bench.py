@@ -79,6 +79,24 @@ def test_zdt_rejects_off_ladder_fidelity_and_bad_shape():
         zdt1_mf(6, LADDER).evaluate(np.zeros(5), 27.0)
 
 
+@pytest.mark.parametrize(
+    "bm",
+    [zdt1_mf(6, LADDER), zdt2_mf(6, LADDER), toy_grid(4, TOY_LADDER)],
+    ids=lambda bm: bm.name,
+)
+def test_evaluators_accept_genotypes_in_the_unit_cube_only(bm):
+    d, b_max = len(bm.space), bm.ladder.b_max
+    for bad in (-0.1, np.nextafter(1.0, 2.0), np.nan):
+        for i in (0, d - 1):
+            x = np.full(d, 0.5)
+            x[i] = bad
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                bm.evaluate(x, b_max)
+    for edge in (-0.0, 1.0):
+        objectives, _ = bm.evaluate(np.full(d, edge), b_max)
+        assert np.isfinite(objectives).all()
+
+
 def test_zdt_requires_two_dimensions():
     with pytest.raises(BenchmarkError):
         zdt1_mf(1, LADDER)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import modehb
-from modehb import optimizer
+from modehb import cli, metrics, optimizer
 from modehb.bench import toy_grid, zdt1_mf
 from modehb.errors import EvaluationError, NormalizationError, UnsupportedDimensionError
 from modehb.optimizer import (
@@ -158,6 +158,52 @@ def test_asking_again_before_a_tell_returns_the_same_proposal():
         proposal = opt.ask()
         assert opt.ask() is proposal
         opt.tell(*BENCH.evaluate(*proposal))
+
+
+@pytest.mark.parametrize("variant", ["nsga2", "random_search"])
+def test_ask_hands_out_a_read_only_genotype(variant):
+    # An edit between ask and tell would archive another genotype than the
+    # one proposed, while the optimizer went on as if it had the old one.
+    opt = Optimizer(BENCH.space, LADDER, variant, 0, objective_bounds=BENCH.objective_bounds)
+    asked = []
+    for _ in range(20):
+        genotype, fidelity = opt.ask()
+        with pytest.raises(ValueError):
+            genotype[0] = 0.99
+        asked.append(genotype.copy())
+        opt.tell(*BENCH.evaluate(genotype, fidelity))
+    assert np.array_equal(opt.trajectory().genotypes, asked)
+
+
+@pytest.mark.parametrize("variant", ["nsga2", "epsnet", "random_search"])
+def test_a_trajectory_with_no_tells_is_an_empty_table(variant, tmp_path):
+    opt = Optimizer(BENCH.space, LADDER, variant, 0, objective_bounds=BENCH.objective_bounds)
+    empty = opt.trajectory()
+    shapes = [getattr(empty, c).shape for c in ("fidelity", "cost", "objectives", "genotypes")]
+    assert shapes == [(0,), (0,), (0, 2), (0, len(BENCH.space))]
+    bounds = BENCH.objective_bounds
+    assert metrics.final_hv(empty, bounds) == 0.0
+    assert metrics.final_front(empty, bounds).shape == (0, 2)
+    assert len(metrics.hv_trajectory(empty, bounds).hv) == 0
+    path = tmp_path / "archive.csv"
+    cli.write_archive_csv(path, empty)
+    assert path.read_bytes() == (
+        b"seq,fidelity,cost_seconds,cumulative_cost,objective_1,objective_2,"
+        b"genotype_1,genotype_2,genotype_3\r\n"
+    )
+
+
+def test_trajectory_columns_are_views_of_one_table_that_later_tells_leave_alone():
+    opt = ask_tell("nsga2", n=10)
+    first = opt.trajectory()
+    opt.tell(*BENCH.evaluate(*opt.ask()))
+    second = opt.trajectory()
+    table = first.fidelity.base
+    assert table.size == 10 * (4 + len(BENCH.space))
+    assert all(getattr(first, c).base is table for c in ("cost", "objectives", "genotypes"))
+    for column in ("fidelity", "cost", "objectives", "genotypes"):
+        x, y = getattr(first, column), getattr(second, column)
+        assert len(y) == 11 and np.array_equal(x, y[:10])
 
 
 # Results whose objectives or cost cannot be archived.
