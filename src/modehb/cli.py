@@ -69,7 +69,8 @@ def _is(value, kind: str) -> bool:
 
 
 def _check(value, rule, where: str):
-    """Raise _UsageError where ``value``, found at ``where``, breaks ``rule``."""
+    """Raise _UsageError where ``value``, found at ``where``, breaks ``rule``;
+    return it with each number that an "integer" rule accepts as an int."""
     kinds = rule[0] if isinstance(rule, tuple) else _JSON_TYPES.get(type(rule), "string")
     if not any(_is(value, kind) for kind in kinds.split("|")):
         raise _UsageError(f"{where}: {value!r} is not of type {kinds!r}")
@@ -78,21 +79,26 @@ def _check(value, rule, where: str):
         for key in rule:
             if key[-1] not in "?." and key not in value:
                 raise _UsageError(f"{where}: {key!r} is a required property")
+        checked = {}
         for key, item in value.items():
             if fields.get(key) is not None:
-                _check(item, fields[key], f"{where}.{key}")
+                item = _check(item, fields[key], f"{where}.{key}")
             elif "..." not in rule:
                 raise _UsageError(f"{where}: {key!r} is not an allowed property")
+            checked[key] = item
+        value = checked
     elif isinstance(rule, list):
-        for i, item in enumerate(value):
-            _check(item, rule[0], f"{where}[{i}]")
+        value = [_check(item, rule[0], f"{where}[{i}]") for i, item in enumerate(value)]
         if not value or any(a == b for i, a in enumerate(value) for b in value[:i]):
             raise _UsageError(f"{where}: {value!r} is empty or holds duplicates")
     elif isinstance(rule, tuple):
         if rule[1:] and value is not None and (value <= rule[1] or value > rule[2]):
             raise _UsageError(f"{where}: {value!r} is not in ({rule[1]}, {rule[2]}]")
+        if "integer" in kinds and type(value) is float:
+            value = int(value)
     elif value not in rule:
         raise _UsageError(f"{where}: {value!r} is not one of {sorted(rule)}")
+    return value
 
 
 def _load_config(path: str) -> dict:
@@ -104,12 +110,12 @@ def _load_config(path: str) -> dict:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    _check(config, CONFIG_RULES, f"{path}: $")
+    # The rules accept 1.0 as an integer; it comes back as 1, so seeds name
+    # files and seed RNGs as ints and the summary records 1, not 1.0.
+    config = _check(config, CONFIG_RULES, f"{path}: $")
     names = [o["name"] for o in config["optimizers"]]
     if len(set(names)) != len(names):
         raise _UsageError(f"{path}: $.optimizers: duplicate optimizer names")
-    # The rules accept 1.0 as an integer; seeds name files and seed RNGs.
-    config["seeds"] = [int(seed) for seed in config["seeds"]]
     return config
 
 

@@ -1,7 +1,10 @@
 """Differential-evolution operators and multi-objective survivor selection.
 
 Genotypes live in [0, 1]^d throughout; mutants are clipped back into the
-box.  Selection follows the rank-then-hypervolume rule (NSGA-II ranking,
+box.  The operators draw nothing: each maps the uniforms it is given, laid
+out in the ``optimizer`` module docstring, to a child as a Python list.
+
+Selection follows the rank-then-hypervolume rule (NSGA-II ranking,
 Deb et al. 2002; SMS-EMOA tie-break, Beume et al. 2007) on two objectives:
 the offspring replaces its parent when it ranks strictly better in the
 joint non-dominated sort, is discarded when strictly worse, and on equal
@@ -23,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionError, InsufficientParentsError, SelectionError
 from .errors import UnsupportedDimensionError
 from .pareto import _as_points, _sweep_ranks, hv_contributions, non_dominated_sort
@@ -44,14 +45,6 @@ class DEParams:
             raise ValueError(f"crossover_prob must be in (0, 1], got {self.crossover_prob}")
 
 
-def rand1_combine(r1, r2, r3, scaling_factor: float) -> np.ndarray:
-    """rand/1 mutant r1 + F * (r2 - r3), clipped to [0, 1]."""
-    mutant = np.subtract(r2, r3, dtype=float)
-    mutant *= scaling_factor
-    mutant += r1
-    return mutant.clip(0.0, 1.0, out=mutant)
-
-
 def distinct_indices(uniforms, n: int) -> list[int]:
     """Map uniforms in [0, 1) to as many distinct indices below n.
 
@@ -59,11 +52,18 @@ def distinct_indices(uniforms, n: int) -> list[int]:
     below m, of the m = n - j indices not taken yet, by skipping the taken
     ones in ascending order.  Independent uniforms thus give every ordered
     tuple of distinct indices the same probability.
+
+    Raises:
+        ValueError: If there are more uniforms than indices.
     """
+    if len(uniforms) > n:
+        raise ValueError(f"{len(uniforms)} distinct picks from {n} indices")
     picked: list[int] = []
     free = n
     for u in uniforms:
-        i = min(int(u * free), free - 1)
+        i = int(u * free)
+        if i >= free:  # u * free can round up to free
+            i = free - 1
         for taken in sorted(picked):
             if i >= taken:
                 i += 1
@@ -72,44 +72,48 @@ def distinct_indices(uniforms, n: int) -> list[int]:
     return picked
 
 
-def mutate_rand1(pool, params: DEParams, rng: np.random.Generator) -> np.ndarray:
-    """Pick three distinct pool members uniformly and combine them.
-
-    Draw order (part of the determinism contract): one ``rng.random(3)``
-    block, mapped to the indices of r1, r2 and r3 by ``distinct_indices``.
+def mutate_rand1(pool, params: DEParams, uniforms) -> list[float]:
+    """rand/1 mutant r1 + F * (r2 - r3), clipped to [0, 1], of the three
+    distinct pool rows (ndarrays) that the three ``uniforms`` pick by
+    ``distinct_indices``.  Draws nothing (module docstring).
 
     Raises:
         InsufficientParentsError: If the pool holds fewer than 3 genotypes
             (callers fall back to the global population, see optimizer).
+        ValueError: Unless exactly three uniforms are given.
     """
     if len(pool) < 3:
-        raise InsufficientParentsError(
-            f"mutation needs 3 parents, pool has {len(pool)}"
-        )
-    i1, i2, i3 = distinct_indices(rng.random(3).tolist(), len(pool))
-    return rand1_combine(pool[i1], pool[i2], pool[i3], params.scaling_factor)
+        raise InsufficientParentsError(f"mutation needs 3 parents, pool has {len(pool)}")
+    i1, i2, i3 = distinct_indices(uniforms, len(pool))
+    r1, r2, r3 = pool[i1].tolist(), pool[i2].tolist(), pool[i3].tolist()
+    mutant = [(b - c) * params.scaling_factor + a for a, b, c in zip(r1, r2, r3)]
+    # min(max(v, 0.0), 1.0) for every float, NaN and -0.0 included, but faster.
+    return [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in mutant]
 
 
-def crossover_binomial(
-    target, mutant, params: DEParams, rng: np.random.Generator
-) -> np.ndarray:
+def crossover_binomial(target, mutant, params: DEParams, uniforms) -> list:
     """Binomial crossover; one uniformly chosen coordinate is always mutant.
 
-    Draw order (part of the determinism contract): one ``rng.random(1 + d)``
-    block.  Its first uniform u picks the forced coordinate floor(u * d),
-    clamped below d (``distinct_indices``' map for one pick); coordinate i
-    takes the mutant's value when uniform 1 + i is below the crossover
-    probability.
+    Of the 1 + d ``uniforms``, the first picks the forced coordinate,
+    floor(u * d) clamped below d (``distinct_indices``' map for one pick);
+    coordinate i takes the mutant's value when uniform 1 + i is below the
+    crossover probability.  Draws nothing (module docstring).
+
+    Raises:
+        DimensionError: If target and mutant differ in length.
+        ValueError: Unless exactly 1 + d uniforms are given.
     """
-    target = np.asarray(target, dtype=float)
-    mutant = np.asarray(mutant, dtype=float)
-    if target.shape != mutant.shape:
-        raise DimensionError(f"shape mismatch {target.shape} vs {mutant.shape}")
     d = len(target)
-    uniforms = rng.random(1 + d)
-    take = uniforms[1:] < params.crossover_prob
-    take[min(int(uniforms[0] * d), d - 1)] = True
-    return np.where(take, mutant, target)
+    if len(mutant) != d:
+        raise DimensionError(f"length mismatch {d} vs {len(mutant)}")
+    # zip would silently cut the child short on too few uniforms.
+    if len(uniforms) != 1 + d:
+        raise ValueError(f"crossover needs {1 + d} uniforms, got {len(uniforms)}")
+    cr = params.crossover_prob
+    child = [m if u < cr else t for t, m, u in zip(target, mutant, uniforms[1:])]
+    forced = min(int(uniforms[0] * d), d - 1)
+    child[forced] = mutant[forced]
+    return child
 
 
 def mo_selection(

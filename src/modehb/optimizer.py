@@ -23,18 +23,22 @@ configuration (``space.config_key``) was already evaluated at the rung's
 fidelity is redrawn before it is evaluated.  Draw order per slot (part of
 the determinism contract): up to ``MAX_DRAWS`` DE draws, then up to
 ``MAX_DRAWS`` uniform genotypes (``encode_sample``, one ``rng.uniform``
-block of d).  A DE draw takes three blocks of ``rng.random`` uniforms:
+block of d).  A DE draw is one ``rng.random`` block, laid out in this order:
 
 1. the mutation pool's fill-ins, one uniform per missing member (none when
    the parent pool holds three or more), mapped to distinct candidates by
    ``de.distinct_indices``;
-2. ``mutate_rand1``: three uniforms for r1, r2 and r3, mapped the same way;
-3. ``crossover_binomial`` against the slot's target: 1 + d uniforms, the
-   forced coordinate's and then the mask's.
+2. d uniforms per fresh genotype, for members still missing when the
+   candidates run dry (tiny ladders): what ``encode_sample`` would draw;
+3. ``mutate_rand1``'s three, for r1, r2 and r3, mapped the same way;
+4. ``crossover_binomial``'s 1 + d against the slot's target: the forced
+   coordinate's and then the mask's.
 
-The first unseen draw is evaluated; if every draw repeats, the last one is,
-so each slot spends exactly one evaluation.  A child that is new on its
-first draw uses the same RNG draws as plain DE.
+Consecutive ``Generator.random`` and ``uniform(0, 1)`` calls concatenate bit
+for bit, so this is the stream of drawing each part apart.  The first
+unseen draw is evaluated; if every draw repeats, the last one is, so each
+slot spends exactly one evaluation.  A child that is new on its first draw
+uses the same RNG draws as plain DE.
 
 Both optimizers are generators of proposals: each yields a ``(genotype,
 fidelity)`` pair and is sent the ``(seq, objectives)`` of its evaluation,
@@ -95,9 +99,15 @@ class StoppingCriteria:
     def __post_init__(self):
         if self.max_tae is None and self.max_wallclock is None:
             raise ValueError("at least one stopping criterion is required")
+        # True would count as 1.
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.max_tae, self.max_wallclock)):
+            raise ValueError("a stopping criterion cannot be a bool")
         # A NaN or infinite limit never trips, so the run would never end.
         if self.max_tae is not None and not 1 <= self.max_tae < math.inf:
             raise ValueError(f"max_tae must be finite and >= 1, got {self.max_tae}")
+        # 1.5 would run two evaluations.
+        if self.max_tae is not None and self.max_tae % 1:
+            raise ValueError(f"max_tae must be a whole number, got {self.max_tae}")
         if self.max_wallclock is not None and not 0 < self.max_wallclock < math.inf:
             raise ValueError(
                 f"max_wallclock must be finite and > 0, got {self.max_wallclock}"
@@ -216,24 +226,13 @@ def _fill_ins(state: OptimizerState, fidelity: float):
     return pool, members[~in_pool]
 
 
-def _mutation_pool(state: OptimizerState, pool, candidates) -> np.ndarray:
-    """Per-target mutation pool: the parent pool topped up to three members.
-
-    Fill-ins are drawn uniformly without replacement from ``candidates``
-    (see ``_fill_ins``), one uniform each, mapped by ``distinct_indices``;
-    if even that runs dry (tiny ladders) fresh random genotypes complete
-    the pool.
-    """
-    if candidates is None:
-        return pool
-    take = min(3 - len(pool), len(candidates))
-    if take > 0:
-        uniforms = state.rng.random(take).tolist()
-        picked = candidates.take(distinct_indices(uniforms, len(candidates)), axis=0)
-        pool = np.concatenate([pool, picked]) if len(pool) else picked
-    while len(pool) < 3:
-        pool = np.vstack([pool, encode_sample(state.space, state.rng)])
-    return pool
+def _mutation_pool(pool, candidates, n_fill: int, uniforms) -> list:
+    """The parent pool topped up to three members from the head of a DE
+    draw's block: its first ``n_fill`` uniforms pick distinct ``candidates``
+    (see ``_fill_ins``), and each d after them make one fresh genotype."""
+    picked = distinct_indices(uniforms[:n_fill].tolist(), len(candidates))
+    fresh = uniforms[n_fill:].reshape(-1, candidates.shape[1])
+    return [*pool, *[candidates[i] for i in picked], *fresh]
 
 
 def _apply_selection(state: OptimizerState, row: int, child, fidelity, told):
@@ -260,12 +259,19 @@ def _draw_child(
     See the module docstring for the draw order.
     """
     parents, candidates = _fill_ins(state, fidelity)
+    target = state.genotypes[row].tolist()
+    d = len(target)
+    # The block's head holds its fill-ins and fresh genotypes (module docstring).
+    n_fill = 0 if candidates is None else min(3 - len(parents), len(candidates))
+    head = n_fill + max(3 - len(parents) - n_fill, 0) * d
     for draw in range(2 * MAX_DRAWS):
         if draw < MAX_DRAWS:
-            pool = _mutation_pool(state, parents, candidates)
-            mutant = mutate_rand1(pool, state.de_params, state.rng)
-            child = crossover_binomial(
-                state.genotypes[row], mutant, state.de_params, state.rng
+            block = state.rng.random(head + 4 + d)
+            pool = _mutation_pool(parents, candidates, n_fill, block[:head]) if head else parents
+            uniforms = block[head:].tolist()
+            mutant = mutate_rand1(pool, state.de_params, uniforms[:3])
+            child = np.array(
+                crossover_binomial(target, mutant, state.de_params, uniforms[3:])
             )
         else:
             child = encode_sample(state.space, state.rng)

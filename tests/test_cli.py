@@ -361,13 +361,23 @@ def test_failing_benchmark_exits_3_and_cleans_up(tmp_path, monkeypatch, workers)
 
 
 def test_integral_float_seeds_and_eta_run(tmp_path):
-    # The rules accept 1.0 as an integer; it seeds the run and names its files as 1.
+    # The rules accept 1.0 as an integer; it seeds the run and names its files
+    # as 1, and every output, summary.json's "max_tae": 30 included, is byte
+    # for byte that of the integer config.
     out = tmp_path / "out"
-    config = base_config(out)
-    config["seeds"] = [1.0]
-    config["ladder"]["eta"] = 2.0
-    assert cli.main(["run", str(write_config(tmp_path, config))]) == 0
-    assert (out / "random_search_seed1_archive.csv").exists()
+    written = []
+    for number in (int, float):
+        config = base_config(out)
+        config["optimizers"] = [{"name": "modehb_nsga2"}]
+        config["seeds"] = [number(1)]
+        config["ladder"]["eta"] = number(2)
+        config["stop"] = {"max_tae": number(30)}
+        assert cli.main(["run", str(write_config(tmp_path, config))]) == 0
+        assert (out / "modehb_nsga2_seed1_archive.csv").exists()
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        shutil.rmtree(out)
+    assert written[0] == written[1]
+    assert b'"max_tae": 30,' in written[1]["summary.json"]
 
 
 # ------------------------------------------------------------- cmd report

@@ -9,13 +9,7 @@ import pytest
 
 from modehb import de, optimizer
 from modehb.bench import zdt2_mf
-from modehb.de import (
-    DEParams,
-    crossover_binomial,
-    mo_selection,
-    mutate_rand1,
-    rand1_combine,
-)
+from modehb.de import DEParams, crossover_binomial, mo_selection, mutate_rand1
 from modehb.errors import (
     DimensionError,
     InsufficientParentsError,
@@ -39,21 +33,34 @@ def test_de_params_validation():
         DEParams(crossover_prob=1.5)
 
 
-def test_rand1_combine_arithmetic():
-    out = rand1_combine(np.array([0.5]), np.array([1.0]), np.array([0.0]), 0.5)
-    assert out == pytest.approx([1.0])
-    out = rand1_combine(np.array([0.4]), np.array([0.6]), np.array([0.2]), 0.5)
-    assert out == pytest.approx([0.6])
-    # F = 0 collapses onto the base vector.
-    out = rand1_combine(np.array([0.3, 0.7]), np.array([0.9, 0.1]), np.array([0.1, 0.9]), 0.0)
-    assert out == pytest.approx([0.3, 0.7])
+# Uniforms that make distinct_indices pick rows 0, 1 and 2 in that order.
+IN_ORDER = [0.0, 0.0, 0.0]
 
 
-def test_rand1_combine_clips_to_unit_cube():
-    out = rand1_combine(np.array([0.9]), np.array([1.0]), np.array([0.0]), 0.5)
-    assert out == pytest.approx([1.0])
-    out = rand1_combine(np.array([0.1]), np.array([0.0]), np.array([1.0]), 0.5)
-    assert out == pytest.approx([0.0])
+def _mutant(r1, r2, r3, scaling_factor):
+    pool = np.array([r1, r2, r3], dtype=float)
+    return mutate_rand1(pool, DEParams(scaling_factor=scaling_factor), IN_ORDER)
+
+
+def test_mutate_rand1_arithmetic():
+    assert _mutant([0.5], [1.0], [0.0], 0.5) == pytest.approx([1.0])
+    assert _mutant([0.4], [0.6], [0.2], 0.5) == pytest.approx([0.6])
+    # A vanishing F collapses onto the base vector.
+    assert _mutant([0.3, 0.7], [0.9, 0.1], [0.1, 0.9], 1e-300) == pytest.approx([0.3, 0.7])
+
+
+def test_mutate_rand1_clips_to_unit_cube():
+    assert _mutant([0.9], [1.0], [0.0], 0.5) == [1.0]
+    assert _mutant([0.1], [0.0], [1.0], 0.5) == [0.0]
+
+
+def test_mutate_rand1_matches_numpy_rand1_bit_for_bit():
+    # The mutant is r1 + F * (r2 - r3) in numpy's operation order, clipped.
+    rows = np.random.default_rng(3).uniform(-0.5, 1.5, size=(200, 3, 7))
+    for f in (0.5, 1.0, 1.7):
+        for r1, r2, r3 in rows:
+            expected = np.clip((r2 - r3) * f + r1, 0.0, 1.0)
+            assert _mutant(r1, r2, r3, f) == expected.tolist()
 
 
 def test_mutate_rand1_stays_in_bounds_and_replays():
@@ -61,10 +68,10 @@ def test_mutate_rand1_stays_in_bounds_and_replays():
             np.array([0.3, 0.3])]
     params = DEParams(scaling_factor=1.5, crossover_prob=0.5)
     for seed in range(20):
-        m1 = mutate_rand1(pool, params, np.random.default_rng(seed))
-        m2 = mutate_rand1(pool, params, np.random.default_rng(seed))
-        assert np.array_equal(m1, m2)
-        assert np.all(m1 >= 0.0) and np.all(m1 <= 1.0)
+        uniforms = np.random.default_rng(seed).random(3).tolist()
+        m1 = mutate_rand1(pool, params, uniforms)
+        assert type(m1) is list and m1 == mutate_rand1(pool, params, uniforms)
+        assert all(0.0 <= v <= 1.0 for v in m1)
 
 
 def test_mutate_rand1_uses_three_distinct_parents():
@@ -73,38 +80,36 @@ def test_mutate_rand1_uses_three_distinct_parents():
     # (r2 == r3) would instead reproduce a pool row exactly.
     pool = [np.eye(3)[i] for i in range(3)]
     params = DEParams(scaling_factor=1.0, crossover_prob=0.5)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        mutant = mutate_rand1(pool, params, rng)
-        assert int(np.sum(mutant == 1.0)) == 2
-        assert not any(np.array_equal(mutant, row) for row in pool)
+    for uniforms in np.random.default_rng(0).random((100, 3)).tolist():
+        mutant = mutate_rand1(pool, params, uniforms)
+        assert mutant.count(1.0) == 2
+        assert not any(mutant == row.tolist() for row in pool)
 
 
 def test_mutate_rand1_rejects_small_pools():
     pool = [np.array([0.1]), np.array([0.9])]
     with pytest.raises(InsufficientParentsError):
-        mutate_rand1(pool, DEParams(), np.random.default_rng(0))
+        mutate_rand1(pool, DEParams(), IN_ORDER)
 
 
 def test_crossover_full_rate_returns_mutant():
-    target = np.array([0.0, 0.0, 0.0, 0.0])
-    mutant = np.array([0.1, 0.2, 0.3, 0.4])
+    target = [0.0, 0.0, 0.0, 0.0]
+    mutant = [0.1, 0.2, 0.3, 0.4]
     params = DEParams(scaling_factor=0.5, crossover_prob=1.0)
-    out = crossover_binomial(target, mutant, params, np.random.default_rng(1))
-    assert np.array_equal(out, mutant)
+    uniforms = np.random.default_rng(1).random(5).tolist()
+    assert crossover_binomial(target, mutant, params, uniforms) == mutant
 
 
 def test_crossover_tiny_rate_keeps_only_forced_coordinate():
-    target = np.zeros(6)
-    mutant = np.ones(6)
     params = DEParams(scaling_factor=0.5, crossover_prob=1e-12)
     for seed in range(30):
-        out = crossover_binomial(target, mutant, params, np.random.default_rng(seed))
-        assert int(np.sum(out == 1.0)) == 1
+        uniforms = np.random.default_rng(seed).random(7).tolist()
+        out = crossover_binomial([0.0] * 6, [1.0] * 6, params, uniforms)
+        assert out.count(1.0) == 1
 
 
 def test_crossover_replays_documented_draw_order():
-    # One random(1 + d) block: the forced coordinate's uniform, then the mask.
+    # 1 + d uniforms: the forced coordinate's, then the mask.
     target = np.array([0.0, 0.0, 0.0, 0.0])
     mutant = np.array([0.1, 0.2, 0.3, 0.4])
     params = DEParams(scaling_factor=0.5, crossover_prob=0.5)
@@ -113,23 +118,21 @@ def test_crossover_replays_documented_draw_order():
         take = uniforms[1:] < params.crossover_prob
         take[int(uniforms[0] * 4)] = True
         expected = np.where(take, mutant, target)
-        out = crossover_binomial(target, mutant, params, np.random.default_rng(seed))
-        assert np.array_equal(out, expected)
+        out = crossover_binomial(target.tolist(), mutant.tolist(), params, uniforms.tolist())
+        assert out == expected.tolist()
+
+
+def test_operators_reject_a_wrong_number_of_uniforms():
+    # Too few would cut the child short; too many would go unused.
+    for n in (0, 2, 4, 6):
+        with pytest.raises(ValueError):
+            mutate_rand1(np.eye(4), DEParams(), [0.5] * n)
+    for n in (0, 4, 6):
+        with pytest.raises(ValueError):
+            crossover_binomial([0.0] * 4, [1.0] * 4, DEParams(), [0.5] * n)
 
 
 # ------------------------------------------------- uniforms to distinct indices
-
-
-class _Uniforms:
-    """Stands in for a Generator: random(n) returns the next n given uniforms."""
-
-    def __init__(self, uniforms):
-        self.left = list(uniforms)
-
-    def random(self, n):
-        drawn, self.left = self.left[:n], self.left[n:]
-        assert len(drawn) == n
-        return np.array(drawn)
 
 
 def _lattice(n, k, per_bin=2):
@@ -155,8 +158,8 @@ def test_mutate_rand1_maps_a_uniform_lattice_onto_every_ordered_triple(n):
     params = DEParams(scaling_factor=0.5)
     picks = []
     for uniforms in _lattice(n, 3):
-        mutant = mutate_rand1(pool, params, _Uniforms(uniforms))
-        picks.append([int(np.flatnonzero(mutant == v)[0]) for v in (0.75, 0.5, 0.0)])
+        mutant = mutate_rand1(pool, params, uniforms)
+        picks.append([mutant.index(v) for v in (0.75, 0.5, 0.0)])
         assert picks[-1] == de.distinct_indices(uniforms, n)
     _assert_uniform_over_ordered_tuples(picks, n, 3)
 
@@ -169,14 +172,22 @@ def test_distinct_indices_lattice_for_one_and_two_picks(n):
         _assert_uniform_over_ordered_tuples(picks, n, k)
 
 
+def test_distinct_indices_refuses_more_picks_than_indices():
+    # A pick past the last free index would come out as -1, the last row.
+    for uniforms, n in (([0.5, 0.5, 0.5], 2), ([0.9], 0), ([0.1, 0.2], 1)):
+        with pytest.raises(ValueError):
+            de.distinct_indices(uniforms, n)
+    assert de.distinct_indices([], 0) == []
+
+
 @pytest.mark.parametrize("d", range(1, 8))
 def test_crossover_forced_coordinate_lattice(d):
     # With every mask uniform above CR, only the forced coordinate is mutant.
     params = DEParams(crossover_prob=0.5)
     forced = []
     for (u,) in _lattice(d, 1):
-        out = crossover_binomial(np.zeros(d), np.ones(d), params, _Uniforms([u] + [0.9] * d))
-        forced.append(np.flatnonzero(out).tolist())
+        out = crossover_binomial([0.0] * d, [1.0] * d, params, [u] + [0.9] * d)
+        forced.append([i for i, v in enumerate(out) if v])
     _assert_uniform_over_ordered_tuples(forced, d, 1)
 
 
@@ -188,17 +199,15 @@ def test_uniform_mappings_stay_below_n_at_the_top_of_the_unit_interval():
             assert picks == list(range(n - 1, n - 1 - k, -1))
     for d in range(1, 12):
         out = crossover_binomial(
-            np.zeros(d), np.ones(d), DEParams(crossover_prob=0.5), _Uniforms([top] * (1 + d))
+            [0.0] * d, [1.0] * d, DEParams(crossover_prob=0.5), [top] * (1 + d)
         )
-        assert np.flatnonzero(out).tolist() == [d - 1]
+        assert [i for i, v in enumerate(out) if v] == [d - 1]
     assert de.distinct_indices([0.0, 0.0, 0.0], 5) == [0, 1, 2]
 
 
 def test_crossover_dimension_mismatch():
     with pytest.raises(DimensionError):
-        crossover_binomial(
-            np.zeros(3), np.ones(4), DEParams(), np.random.default_rng(0)
-        )
+        crossover_binomial([0.0] * 3, [1.0] * 4, DEParams(), [0.5] * 4)
 
 
 # ------------------------------------------------------------- mo_selection

@@ -109,6 +109,12 @@ def test_stopping_criteria_validation():
             StoppingCriteria(max_wallclock=limit)
         with pytest.raises(ValueError, match="finite"):
             StoppingCriteria(max_tae=limit)
+    # max_tae=1.5 ran two evaluations; True counted as one.
+    for limits in ({"max_tae": 1.5}, {"max_tae": True}, {"max_wallclock": True},
+                   {"max_tae": np.float64(2.5)}, {"max_wallclock": np.True_}):
+        with pytest.raises(ValueError):
+            StoppingCriteria(**limits)
+    assert len(rows_of(small_run(max_tae=np.int64(7)))) == 7
     stop = StoppingCriteria(max_tae=5, max_wallclock=100.0)
     assert stop.cause_if_tripped(4, 0.0) is None
     assert stop.cause_if_tripped(5, 0.0) == "max_tae"
@@ -685,17 +691,69 @@ def test_config_key_runs_once_per_draw_and_once_per_unsampled_evaluation(
 
 @pytest.mark.parametrize("in_pool", [0, 1, 2])
 def test_mutation_pool_tops_up_with_one_uniform_per_fill_in(in_pool):
-    # Fill-ins take 3 - len(pool) uniforms in one block, mapped to distinct
-    # candidate rows by de.distinct_indices.
-    state = initialize(BENCH.space, LADDER, 0, "nsga2", objective_bounds=BENCH.objective_bounds)
+    # Fill-ins take the first 3 - len(pool) uniforms of a DE draw's block,
+    # mapped to distinct candidate rows by de.distinct_indices.
     candidates = np.linspace(0.0, 1.0, 21).reshape(7, 3)
     pool = np.full((in_pool, 3), 0.5)
     for seed in range(20):
-        state.rng = np.random.default_rng(seed)
-        uniforms = np.random.default_rng(seed).random(3 - in_pool).tolist()
-        topped = optimizer._mutation_pool(state, pool, candidates)
-        expected = candidates[optimizer.distinct_indices(uniforms, len(candidates))]
+        uniforms = np.random.default_rng(seed).random(3 - in_pool)
+        topped = optimizer._mutation_pool(pool, candidates, 3 - in_pool, uniforms)
+        expected = candidates[optimizer.distinct_indices(uniforms.tolist(), len(candidates))]
         assert np.array_equal(topped, np.concatenate([pool, expected]))
+
+
+def test_mutation_pool_completes_with_fresh_genotypes_once_candidates_run_dry():
+    candidates = np.full((1, 3), 0.25)
+    uniforms = np.random.default_rng(0).random(1 + 2 * 3)
+    topped = optimizer._mutation_pool((), candidates, 1, uniforms)
+    assert np.array_equal(topped, [candidates[0], uniforms[1:4], uniforms[4:]])
+
+
+class _Recorder:
+    """A Generator that logs the method and size of every draw."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def uniform(self, low, high, size):
+        self.calls.append(("uniform", size))
+        return self.rng.uniform(low, high, size)
+
+
+@pytest.mark.parametrize(
+    "pool_rows, n_other, n_fill, n_fresh",
+    [(5, 8, 0, 0), (1, 8, 2, 0), (0, 8, 3, 0), (1, 1, 1, 1), (1, 0, 0, 2)],
+)
+def test_each_de_draw_is_one_block_of_uniforms(pool_rows, n_other, n_fill, n_fresh):
+    # A child unseen on its first draw takes one rng.random block: the
+    # fill-ins, d per fresh genotype, r1-r3, the forced coordinate, the mask.
+    # Every member but n_other holds row 0's genotype, so a pool of row 0
+    # has n_other candidates.
+    state = initialize(BENCH.space, LADDER, 0, "nsga2", objective_bounds=BENCH.objective_bounds)
+    d = len(BENCH.space)
+    state.genotypes[:-1] = 0.5
+    state.genotypes[1 : 1 + n_other] = np.random.default_rng(1).random((n_other, d))
+    if pool_rows:
+        state.parent_pool[1.0] = state.genotypes[:pool_rows].copy()
+    state.rng = _Recorder(derive_rng(0))
+    child, key = optimizer._draw_child(state, 0, 1.0)
+    assert state.rng.calls == [("random", n_fill + n_fresh * d + 4 + d)]
+    assert key == config_key(BENCH.space, child)
+
+
+def test_every_redraw_of_a_slot_is_one_block():
+    grid, state, records = _grid_state(4)
+    _evaluate_cells(grid, state, records, [(i, j) for i in range(4) for j in range(4)], 1.0)
+    state.rng = _Recorder(state.rng)
+    optimizer._draw_child(state, 0, 1.0)
+    # Every cell is seen: three DE draws (three fill-ins each, d = 2), then
+    # three uniform genotypes.
+    n = 3 + 4 + 2
+    assert state.rng.calls == [("random", n)] * 3 + [("uniform", 2)] * 3
 
 
 def test_fill_ins_never_offer_the_spare_row():
