@@ -34,10 +34,15 @@ _POSITIVE = ("number", 0, math.inf)
 # The config's rules, read by _check.  A (JSON types, low, high) tuple: "|"
 # joins types, a number lies in (low, high], so an integer's low is one less
 # than its least value.  A set: allowed strings.  [rule]: a non-empty array
-# of distinct items.  {key: rule}: an object; "?" marks an optional key, and
-# a "..." key admits unlisted ones.
+# of distinct items.  {key: rule}: an object; "?" marks an optional key.  A
+# benchmark's factory checks the ranges of its own parameters.
 CONFIG_RULES = {
-    "benchmark": {"name": ("string",), "...": None},
+    "benchmark": {
+        "name": ("string",),
+        "d?": ("integer",),
+        "k?": ("integer",),
+        "bias?": ("number",),
+    },
     "optimizers": [
         {
             "name": frozenset(OPTIMIZER_NAMES),
@@ -77,16 +82,12 @@ def _check(value, rule, where: str):
     if isinstance(rule, dict):
         fields = {key.rstrip("?"): sub for key, sub in rule.items()}
         for key in rule:
-            if key[-1] not in "?." and key not in value:
+            if key[-1] != "?" and key not in value:
                 raise _UsageError(f"{where}: {key!r} is a required property")
-        checked = {}
-        for key, item in value.items():
-            if fields.get(key) is not None:
-                item = _check(item, fields[key], f"{where}.{key}")
-            elif "..." not in rule:
+        for key in value:
+            if key not in fields:
                 raise _UsageError(f"{where}: {key!r} is not an allowed property")
-            checked[key] = item
-        value = checked
+        value = {key: _check(item, fields[key], f"{where}.{key}") for key, item in value.items()}
     elif isinstance(rule, list):
         value = [_check(item, rule[0], f"{where}[{i}]") for i, item in enumerate(value)]
         if not value or any(a == b for i, a in enumerate(value) for b in value[:i]):

@@ -386,8 +386,9 @@ class Optimizer:
 
     def tell(self, objectives, cost: float):
         try:
-            # Casting a complex value to float only warns and drops its imaginary part.
-            if np.iscomplexobj(objectives) or np.iscomplexobj(cost):
+            # Casting a complex value to float only warns and drops its imaginary
+            # part.  A Python float cost, the common case, needs no check.
+            if np.iscomplexobj(objectives) or (type(cost) is not float and np.iscomplexobj(cost)):
                 raise TypeError(f"complex value in {objectives!r}, {cost!r}")
             objectives = np.asarray(objectives, dtype=float)
             cost = float(cost)

@@ -11,7 +11,9 @@ Luccio & Preparata 1975; Jensen 2003): points are visited in
 lexicographic (f1, f2) order and each joins the first front whose last
 point does not dominate it, found by binary search over the fronts' last
 points.  Three or more objectives fall back to peeling fronts off an
-(n, n) domination matrix.  Both give the same fronts.
+(n, n) domination matrix.  Both give the same fronts.  Both hypervolume
+kernels add up one 2-D sweep (``_sweep``) over lexicographically sorted
+points; ``hv_contributions`` checks its input once, through ``hypervolume``.
 """
 
 from __future__ import annotations
@@ -170,12 +172,19 @@ def epsnet_order(front) -> list[int]:
     return order
 
 
-def hypervolume(points, ref) -> float:
-    """Exact 2-D hypervolume dominated by points, bounded by ref.
+def _sweep(rows, r1: float, r2: float) -> float:
+    """2-D hypervolume of [f1, f2] rows in lexicographic order, bounded by (r1, r2)."""
+    hv, prev = 0.0, r2
+    for f1, f2 in rows:
+        if f1 <= r1 and f2 < prev:  # within r1, and non-dominated so far
+            hv += (r1 - f1) * (prev - f2)
+            prev = f2
+    return hv
 
-    Points with any component beyond ref are dropped (they contribute
-    nothing).  Uses the standard sweep: sort the non-dominated subset by
-    f1 ascending and accumulate (ref1 - f1_i) * (prev_f2 - f2_i).
+
+def hypervolume(points, ref) -> float:
+    """Exact 2-D hypervolume dominated by points, bounded by ref: the
+    sweep over the checked points; points beyond ref add nothing.
 
     Raises:
         UnsupportedDimensionError: For dimensions other than 2.
@@ -188,29 +197,20 @@ def hypervolume(points, ref) -> float:
         )
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(ref))):
         raise ValueError("objective values must be finite")
-    pts = pts[np.all(pts <= ref, axis=1)]
-    if len(pts) == 0:
-        return 0.0
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    hv = 0.0
-    prev_f2 = ref[1]
-    for f1, f2 in pts[order]:
-        if f2 < prev_f2:  # non-dominated within the sweep
-            hv += (ref[0] - f1) * (prev_f2 - f2)
-            prev_f2 = f2
-    return float(hv)
+    return _sweep(sorted(pts.tolist()), *ref.tolist())
 
 
 def hv_contributions(points, ref) -> np.ndarray:
-    """Exclusive hypervolume HV(S) - HV(S w/o p) per point.
-
-    Dominated points and duplicates contribute exactly 0.
-    """
+    """Exclusive hypervolume HV(S) - HV(S w/o p) per point, exactly 0 for
+    dominated points and duplicates: one sweep without p per point."""
     pts = np.asarray(points, dtype=float)
     total = hypervolume(pts, ref)
-    out = np.empty(len(pts))
-    for i in range(len(pts)):
-        out[i] = total - hypervolume(np.delete(pts, i, axis=0), ref)
+    r1, r2 = np.asarray(ref, dtype=float).tolist()
+    rows = pts.tolist()
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    ranked = [rows[i] for i in order]
+    out = np.empty(len(rows))
+    out[order] = [total - _sweep(ranked[:j] + ranked[j + 1 :], r1, r2) for j in range(len(rows))]
     return out
 
 

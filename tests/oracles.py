@@ -108,3 +108,32 @@ def zdt2_front(n: int) -> np.ndarray:
     """Dense sample of the ZDT2 Pareto front f2 = 1 - f1 ** 2."""
     t = np.linspace(0.0, 1.0, n)
     return np.column_stack([t, 1.0 - t * t])
+
+
+def hv_numpy(points, ref) -> float:
+    """2-D hypervolume by a numpy sweep: drop points beyond ref, ``lexsort``
+    by (f1, f2) and accumulate over float64 rows.  ``pareto.hypervolume``
+    must match it bit for bit."""
+    pts = np.asarray(points, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    pts = pts[np.all(pts <= ref, axis=1)]
+    if len(pts) == 0:
+        return 0.0
+    hv = 0.0
+    prev_f2 = ref[1]
+    for f1, f2 in pts[np.lexsort((pts[:, 1], pts[:, 0]))]:
+        if f2 < prev_f2:
+            hv += (ref[0] - f1) * (prev_f2 - f2)
+            prev_f2 = f2
+    return float(hv)
+
+
+def hv_contributions_numpy(points, ref) -> np.ndarray:
+    """Exclusive contributions as n + 1 ``hv_numpy`` calls, one per
+    ``np.delete``d point."""
+    pts = np.asarray(points, dtype=float)
+    total = hv_numpy(pts, ref)
+    out = np.empty(len(pts))
+    for i in range(len(pts)):
+        out[i] = total - hv_numpy(np.delete(pts, i, axis=0), ref)
+    return out

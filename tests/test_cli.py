@@ -264,6 +264,16 @@ REJECTED_CONFIGS = [
     ("$.seeds", ["seeds"], [1, 1.0]),
     ("$.optimizers[0].scaling_factor", ["optimizers", 0, "scaling_factor"], 0),
     ("$.stop.max_tae", ["stop", "max_tae"], 0),
+    # Benchmark parameters are typed here; their factories check the ranges.
+    ("$.benchmark", ["benchmark", "any_key"], 1),
+    ("$.benchmark.bias", ["benchmark", "bias"], "x"),
+    ("$.benchmark.bias", ["benchmark", "bias"], None),
+    ("$.benchmark.bias", ["benchmark", "bias"], True),
+    ("$.benchmark.k", ["benchmark", "k"], 4.5),
+    ("$.benchmark.k", ["benchmark", "k"], True),
+    ("$.benchmark.k", ["benchmark", "k"], "4"),
+    ("$.benchmark.d", ["benchmark", "d"], True),
+    ("$.benchmark.d", ["benchmark", "d"], 3.5),
 ]
 
 
@@ -286,7 +296,9 @@ ACCEPTED_CONFIGS = [
     (["seeds"], [1.0]),
     (["stop", "max_tae"], None),
     (["stop", "max_wallclock"], None),
-    (["benchmark", "any_key"], "passed on to the benchmark"),
+    (["benchmark", "k"], 4.0),
+    (["benchmark", "bias"], 0.25),
+    (["benchmark", "bias"], 1),
     (["optimizers", 0, "scaling_factor"], 2),
     (["optimizers", 0, "crossover_prob"], 1),
 ]
@@ -378,6 +390,24 @@ def test_integral_float_seeds_and_eta_run(tmp_path):
         shutil.rmtree(out)
     assert written[0] == written[1]
     assert b'"max_tae": 30,' in written[1]["summary.json"]
+
+
+@pytest.mark.parametrize("name, key, value", [("toy_grid", "k", 4), ("zdt1_mf", "d", 6)])
+def test_integral_float_benchmark_parameters_run(tmp_path, name, key, value):
+    # "k": 4.0 and "d": 6.0 reach the benchmark's factory as 4 and 6, and
+    # every output is byte for byte that of the integer config.
+    out = tmp_path / "out"
+    written = []
+    for number in (int, float):
+        config = base_config(out)
+        config["benchmark"] = {"name": name, key: number(value)}
+        config["optimizers"] = [{"name": "modehb_nsga2"}]
+        config["stop"] = {"max_tae": 30}
+        assert cli.main(["run", str(write_config(tmp_path, config))]) == 0
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        shutil.rmtree(out)
+    assert written[0] == written[1]
+    assert f'"{key}": {value}\n'.encode() in written[1]["summary.json"]
 
 
 # ------------------------------------------------------------- cmd report

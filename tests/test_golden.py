@@ -32,6 +32,9 @@ CASES = {
     "zdt2_d10": ({"name": "zdt2_mf", "d": 10}, (1, 81, 3), [0], 300, None),
     # Population 3: mutation pools fall back to random genotypes.
     "toy_grid_tiny": ({"name": "toy_grid", "k": 4}, (1, 2, 2), [0, 1], 40, None),
+    # A long budget: survivor selection breaks 462 (nsga2) and 453 (epsnet)
+    # ties by the hypervolume contributions of last fronts of 10-12 points.
+    "zdt1_d6_long": ({"name": "zdt1_mf", "d": 6}, (1, 27, 3), [0], 5000, []),
 }
 
 GOLDEN = {
@@ -198,6 +201,42 @@ GOLDEN = {
             "7e1abce523f264709977cdb635047bff3122e79f8bee645c5fe6b07156fad1b7",
         "summary.json":
             "d0d9eb8d80eb84ab5054d3fa3740e3af3d1c1af71586b21ea99d99f05829fb4f",
+    },
+    "zdt1_d6_long": {
+        "modehb_epsnet_seed0_archive.csv":
+            "65cc34c341f74d30e82b2047500f5053940904b2fc06477355f5d0a73dcb912e",
+        "modehb_epsnet_seed0_metrics.json":
+            "114e9b99164f7cd3d4c1c0ef398dba3757f736a6029be9a306f73c1f684b7498",
+        "modehb_nsga2_seed0_archive.csv":
+            "59e7d72f3f93d298e369afadaca87c98d2bb2f4ce2759bef0326ccb444149f0b",
+        "modehb_nsga2_seed0_metrics.json":
+            "c334912df81d68951352e7da1075eb016fcad021f525dd3de9a5149b38b1d67e",
+        "random_search_seed0_archive.csv":
+            "ce4d6c472ab6d77e36bbac4bd69b48bbce4c059cb128bb9471c4e6e8223e0fca",
+        "random_search_seed0_metrics.json":
+            "031e69244591786085a1632344401f682af3bc43f67a8742b4dc118593093f07",
+        "report_attainment_modehb_epsnet_k1.csv":
+            "48a1faa082df44dd77351cf3a5fb93dac37913f7a3fada20d7a8b3efbb37f817",
+        "report_attainment_modehb_nsga2_k1.csv":
+            "9eda676ad5d831ee9a9b225a051c98ccd711fde8065e5ac511864eba4fe46025",
+        "report_attainment_random_search_k1.csv":
+            "8bb40cb4a85705ffd73c37d25d7c771ff576293366c75f21dab900c26ecff7a8",
+        "report_hv_modehb_epsnet.csv":
+            "52eb188beca36b621857d635fc8bbc7d90aee81792f104532af461693fd0752a",
+        "report_hv_modehb_nsga2.csv":
+            "5aa41cca83de12b99e02d2563644307711fa6464d5c165fbb3d1db0cc739e02f",
+        "report_hv_random_search.csv":
+            "efa12f55e0d33df51afc25fd625b7bf88dddea918592ff47b95717c82c3cb484",
+        "report_loghvdiff_modehb_epsnet.csv":
+            "5ffd77e9efb9d7ec61f724c37124c9dfe50595540d007f31824d00fec62fdb46",
+        "report_loghvdiff_modehb_nsga2.csv":
+            "3d12aae33d3841c00bd395cf2d231353126cf547f6b6d4ac5889cc9fcce3e3da",
+        "report_loghvdiff_random_search.csv":
+            "2430861ee4860f738712d4e3de9e059a17b13be24bd25e4f40d29f0d1ff64f61",
+        "report_rank.csv":
+            "66d90fe599e6c95b95e9c9ef80e59f4e92d366eba9156c66369c21a9f75c12fa",
+        "summary.json":
+            "45a874af868546216d09cfe64d13694f7a226a1b858b50d29555fd620992d2e4",
     },
     "zdt2_d10": {
         "modehb_epsnet_seed0_archive.csv":

@@ -222,6 +222,11 @@ UNARCHIVABLE = [
     # A complex array only warns when cast to float, and drops its imaginary part.
     (np.array([0.5 + 1j, 0.5]), 1.0),
     ([0.5, 0.5], np.complex128(1.0)),
+    # `tell` skips the complex check for a Python float cost only.
+    ([0.5, 0.5], 1 + 0j),
+    ([0.5, 0.5], np.array(1j)),
+    ([0.5, 0.5], np.complex64(1)),
+    ([0.5 + 1j, 0.5], 1.0),
 ]
 
 

@@ -23,7 +23,13 @@ from modehb.pareto import (
     non_dominated_sort,
     rank_and_truncate,
 )
-from oracles import hv_grid, hv_inclusion_exclusion, nds_bf
+from oracles import (
+    hv_contributions_numpy,
+    hv_grid,
+    hv_inclusion_exclusion,
+    hv_numpy,
+    nds_bf,
+)
 
 
 # --------------------------------------------------------------------- NDS
@@ -196,6 +202,59 @@ def test_hypervolume_ignores_dominated_and_duplicate_points():
 def test_hypervolume_rejects_higher_dimensions():
     with pytest.raises(UnsupportedDimensionError):
         hypervolume(np.array([[0.5, 0.5, 0.5]]), np.array([1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("kernel", [hypervolume, hv_contributions])
+@pytest.mark.parametrize(
+    "points, ref, error",
+    [
+        ([[0.5, 0.5, 0.5]], [1.0, 1.0], UnsupportedDimensionError),
+        ([0.5, 0.5], [1.0, 1.0], UnsupportedDimensionError),
+        ([[0.5, 0.5]], [1.0, 1.0, 1.0], UnsupportedDimensionError),
+        ([[0.5, 0.5]], [[1.0, 1.0]], UnsupportedDimensionError),
+        ([[0.5, 0.5], [np.nan, 0.5]], [1.0, 1.0], ValueError),
+        ([[0.5, np.inf]], [1.0, 1.0], ValueError),
+        ([[0.5, 0.5]], [1.0, np.nan], ValueError),
+    ],
+)
+def test_hypervolume_kernels_reject_bad_input(kernel, points, ref, error):
+    with pytest.raises(error):
+        kernel(np.array(points), np.array(ref))
+
+
+def _hv_cases():
+    """(points, ref) sets: random, tied lattices, exact duplicates, points on
+    and beyond ref, and empty and single-point sets."""
+    rng = np.random.default_rng(30)
+    unit = np.array([1.0, 1.0])
+    cases = [(np.empty((0, 2)), unit), (np.array([[0.3, 0.7]]), unit)]
+    cases += [(np.array([[1.0, 0.2]]), unit), (np.array([[0.2, 1.0]]), unit)]
+    cases += [(np.array([[1.5, 0.2]]), unit), (np.array([[1.0, 1.0]]), unit)]
+    for n in (2, 3, 5, 10, 40, 200):
+        pts = rng.random((n, 2))
+        cases.append((pts, unit))
+        cases.append((pts * 1.3 - 0.1, rng.random(2) + 0.5))
+        # A lattice with ties in either objective, some on or beyond ref.
+        cases.append((rng.integers(0, 6, (n, 2)) / 4.0, unit))
+        # Ties on values whose products round: the sweep order within a tie shows.
+        ties = np.column_stack([rng.choice(rng.random(3), n), pts[:, 1]])
+        cases += [(ties, unit), (ties[:, ::-1].copy(), unit)]
+        # Exact duplicates, interleaved.
+        cases.append((np.vstack([pts, pts[: n // 2 + 1]])[rng.permutation(n + n // 2 + 1)], unit))
+        # Points exactly on ref in one objective.
+        edge = pts.copy()
+        edge[::3, n % 2] = 1.0
+        cases.append((edge, unit))
+    return cases
+
+
+def test_hypervolume_kernels_match_the_numpy_sweep_bit_for_bit():
+    for pts, ref in _hv_cases():
+        hv = hypervolume(pts, ref)
+        assert type(hv) is float and hv == hv_numpy(pts, ref)
+        contrib, expected = hv_contributions(pts, ref), hv_contributions_numpy(pts, ref)
+        assert contrib.dtype == expected.dtype and contrib.shape == expected.shape
+        assert contrib.tobytes() == expected.tobytes()
 
 
 def test_hypervolume_exact_on_dyadic_instances():
