@@ -1,7 +1,8 @@
 """Command-line interface: run experiments, report metrics, query oracles.
 
-Exit codes: 0 success, 2 usage/configuration errors (nothing written),
-3 runtime evaluation failure (nothing written).
+Exit codes: 0 success, 2 usage/configuration errors or a file that cannot be
+read or written (one ``error:`` line; outputs written before a failed write
+stay), 3 runtime evaluation failure (nothing written).
 """
 
 from __future__ import annotations
@@ -103,10 +104,7 @@ def _check(value, rule, where: str):
 
 
 def _load_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
+    text = Path(path).read_text(encoding="utf-8")
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -314,7 +312,7 @@ def _load_runs(out_dir: Path):
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         config = summary["config"]
-        _check(config, CONFIG_RULES, f"{summary_path}: $.config")
+        config = _check(config, CONFIG_RULES, f"{summary_path}: $.config")
         ladder, benchmark, _, _ = _resolve(config)
         opt_names = [o["name"] for o in config["optimizers"]]
         seeds, best = config["seeds"], float(summary["empirical_best_hv"])
@@ -343,8 +341,6 @@ def _load_runs(out_dir: Path):
         )
         try:
             run = read_archive_csv(out_dir / archive, meta)
-        except OSError as exc:
-            raise _UsageError(f"{out_dir / archive}: {exc.strerror}") from exc
         except ValueError as exc:
             raise _UsageError(f"{out_dir / archive}: malformed archive ({exc})") from exc
         # `run` writes cost = fidelity >= b_min > 0, and the time grid is geometric.
@@ -393,10 +389,8 @@ def cmd_report(out_dir: str, attainment: str | None = None) -> int:
 
     header = ["time"] + [f"seed_{s}" for s in seeds] + ["mean"]
     for name, opt_hv in zip(opt_names, hv):
-        diffs = [[metrics.log_hv_diff(h, best) for h in row] for row in opt_hv]
-        for prefix, table in (("hv", opt_hv), ("loghvdiff", diffs)):
-            mean = [np.mean(row) for row in table]
-            rows = np.column_stack([grid, table, mean])
+        for prefix, table in (("hv", opt_hv), ("loghvdiff", metrics.log_hv_diff(opt_hv, best))):
+            rows = np.column_stack([grid, table, table.mean(axis=1)])
             _write_csv(out / f"report_{prefix}_{name}.csv", header, rows)
 
         opt_runs = [runs[(name, s)] for s in seeds]
@@ -498,6 +492,9 @@ def main(argv=None) -> int:
         )
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPopulationError, MetricsError, NormalizationError
-from .pareto import hypervolume, non_dominated_sort
+from .pareto import _sweep, hypervolume, non_dominated_sort
 from .scheduler import FidelityLadder
 
 LOG_HV_DIFF_FLOOR = 1e-12
@@ -87,26 +87,25 @@ def hv_trajectory(run: RunTrajectory, bounds) -> HVSeries:
     One series point per evaluation; the HV value is that of the non-dominated
     set of all b_max records seen so far (0.0 before the first).
 
-    Only the staircase is kept: the points that add a term to the
-    ``hypervolume`` sweep (non-dominated, one per duplicate).  A point
-    weakly dominated by it leaves the value as it is; any other point
-    joins it and evicts the points it dominates.  The sweep over the
-    staircase adds the same terms in the same order as the sweep over all
-    points, so the values are bit-identical to recomputing from scratch.
+    Only the staircase is kept, as [f1, f2] rows in the sweep's order: the
+    points that add a term to ``pareto._sweep`` (non-dominated, one per
+    duplicate).  A point weakly dominated by it leaves the value as it is;
+    any other point joins it and evicts the points it dominates.  The sweep
+    over the staircase adds the same terms in the same order as
+    ``hypervolume`` over all points, so the values are bit-identical.
     """
-    b_max = run.metadata.ladder.b_max
-    staircase = np.empty((0, len(bounds)))
+    staircase: list[list[float]] = []
     hv = 0.0
     # hv_after[j]: the value once the first j b_max records are in.
     hv_after = [hv]
-    for point in _bmax_points(run, bounds):
+    for f1, f2 in _bmax_points(run, bounds).tolist():
         # Clamped into [0, 1], so never beyond the reference point.
-        if not np.all(staircase <= point, axis=1).any():
-            kept = staircase[~np.all(point <= staircase, axis=1)]
-            staircase = np.vstack([kept, point])
-            hv = hypervolume(staircase, REF)
+        if not any(a <= f1 and b <= f2 for a, b in staircase):
+            kept = [row for row in staircase if row[0] < f1 or row[1] < f2]
+            staircase = sorted(kept + [[f1, f2]])
+            hv = _sweep(staircase, *REF.tolist())
         hv_after.append(hv)
-    n_bmax_seen = np.cumsum(run.fidelity == b_max)
+    n_bmax_seen = np.cumsum(run.fidelity == run.metadata.ladder.b_max)
     return HVSeries(np.cumsum(run.cost), np.array(hv_after)[n_bmax_seen])
 
 
@@ -116,9 +115,9 @@ def final_hv(run: RunTrajectory, bounds) -> float:
     return hypervolume(_bmax_points(run, bounds), REF)
 
 
-def log_hv_diff(hv: float, hv_best: float) -> float:
-    """log10 of the HV gap to the best-known front, floored at 1e-12."""
-    return float(np.log10(max(hv_best - hv, LOG_HV_DIFF_FLOOR)))
+def log_hv_diff(hv, hv_best):
+    """log10 of the HV gap to the best-known front, floored at 1e-12; elementwise for arrays."""
+    return np.log10(np.maximum(hv_best - hv, LOG_HV_DIFF_FLOOR))
 
 
 def empirical_best_hv(runs, bounds) -> float:

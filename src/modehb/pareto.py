@@ -12,8 +12,8 @@ lexicographic (f1, f2) order and each joins the first front whose last
 point does not dominate it, found by binary search over the fronts' last
 points.  Three or more objectives fall back to peeling fronts off an
 (n, n) domination matrix.  Both give the same fronts.  Both hypervolume
-kernels add up one 2-D sweep (``_sweep``) over lexicographically sorted
-points; ``hv_contributions`` checks its input once, through ``hypervolume``.
+kernels and ``metrics.hv_trajectory`` add up one 2-D sweep, ``_sweep``, over
+sorted rows; ``hv_contributions`` checks its input once, via ``hypervolume``.
 """
 
 from __future__ import annotations

@@ -168,7 +168,9 @@ def test_wallclock_only_stop_keeps_no_default_tae(tmp_path):
 
 
 def test_run_usage_errors(tmp_path, capsys, monkeypatch):
-    assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
+    missing = tmp_path / "missing.json"
+    assert cli.main(["run", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"benchmark": \n oops', encoding="utf-8")
@@ -262,6 +264,9 @@ REJECTED_CONFIGS = [
     ("$.ladder.b_max", ["ladder", "b_max"], None),
     ("$.optimizers[0].scaling_factor", ["optimizers", 0, "scaling_factor"], None),
     ("$.seeds", ["seeds"], [1, 1.0]),
+    # Equal entries fail the list rule above; equal names alone fail here.
+    ("$.optimizers", ["optimizers"],
+     [{"name": "modehb_nsga2"}, {"name": "modehb_nsga2", "scaling_factor": 0.7}]),
     ("$.optimizers[0].scaling_factor", ["optimizers", 0, "scaling_factor"], 0),
     ("$.stop.max_tae", ["stop", "max_tae"], 0),
     # Benchmark parameters are typed here; their factories check the ranges.
@@ -410,7 +415,46 @@ def test_integral_float_benchmark_parameters_run(tmp_path, name, key, value):
     assert f'"{key}": {value}\n'.encode() in written[1]["summary.json"]
 
 
+def test_unwritable_output_exits_2_with_one_line(tmp_path, run_dir, capsys):
+    # A directory where `run` writes its first archive: nothing after it is written.
+    out = tmp_path / "out"
+    blocked = out / "modehb_nsga2_seed0_archive.csv"
+    blocked.mkdir(parents=True)
+    assert cli.main(["run", str(write_config(tmp_path, base_config(out)))]) == 2
+    assert capsys.readouterr().err == f"error: {blocked}: Is a directory\n"
+    assert [p.name for p in out.iterdir()] == [blocked.name]
+
+    # A directory where `report` writes its last table: the tables before it stay.
+    out = shutil.copytree(run_dir, tmp_path / "reported")
+    blocked = out / "report_rank.csv"
+    blocked.unlink(missing_ok=True)
+    blocked.mkdir()
+    assert cli.main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {blocked}: Is a directory\n"
+    assert (out / "report_hv_modehb_nsga2.csv").exists()
+
+
 # ------------------------------------------------------------- cmd report
+
+
+def test_report_reads_the_normalized_config(tmp_path):
+    # `run` reads seed 0.0 as 0 and eta 3.0 as 3; so does `report`.
+    out = tmp_path / "out"
+    config = base_config(out)
+    config["ladder"] = {"b_min": 1, "b_max": 9, "eta": 3}
+    config["seeds"] = [0]
+    assert cli.main(["run", str(write_config(tmp_path, config))]) == 0
+    written = []
+    for edit in (False, True):
+        if edit:
+            summary = json.loads((out / "summary.json").read_text("utf-8"))
+            summary["config"]["seeds"] = [0.0]
+            summary["config"]["ladder"]["eta"] = 3.0
+            (out / "summary.json").write_text(json.dumps(summary), "utf-8")
+        assert cli.main(["report", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.glob("report_*.csv")})
+    assert written[0] == written[1]
+    assert written[1]["report_hv_modehb_nsga2.csv"].startswith(b"time,seed_0,mean\r\n")
 
 
 def test_report_writes_expected_tables(run_dir):
@@ -460,6 +504,8 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     assert cli.main(["report", str(run_dir), "--attainment", "5"]) == 2
     assert cli.main(["report", str(run_dir), "--attainment", "x"]) == 2
     capsys.readouterr()
+    assert cli.main(["report", str(run_dir), "--attainment", ","]) == 2
+    assert capsys.readouterr().err == "error: --attainment: no levels given\n"
 
     def broken_copy(name, break_it):
         out = shutil.copytree(run_dir, tmp_path / name)

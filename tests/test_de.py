@@ -318,6 +318,9 @@ def test_selection_validates_inputs():
         mo_selection(objectives, [1.0, 1.0], [1, 2], 0, 5, REF)
     with pytest.raises(SelectionError):
         mo_selection(objectives, [1.0], [1, 2], 0, 1, REF)
+    # Parent and offspring owned by different fidelities.
+    with pytest.raises(SelectionError, match="same fidelity"):
+        mo_selection(objectives, [1.0, 3.0], [1, 2], 0, 1, REF)
 
 
 def _reference_victim(objectives, owners, seqs, parent, offspring, ref, sort=nds_bf):

@@ -35,6 +35,9 @@ CASES = {
     # A long budget: survivor selection breaks 462 (nsga2) and 453 (epsnet)
     # ties by the hypervolume contributions of last fronts of 10-12 points.
     "zdt1_d6_long": ({"name": "zdt1_mf", "d": 6}, (1, 27, 3), [0], 5000, []),
+    # Ten seeds: a mean column sums ten values, past the eight from which
+    # numpy's pairwise sum unrolls; `report` at its default levels 1, 5, 9.
+    "zdt1_d4_seeds10": ({"name": "zdt1_mf", "d": 4}, (1, 9, 3), list(range(10)), 120, []),
 }
 
 GOLDEN = {
@@ -185,6 +188,162 @@ GOLDEN = {
             "e8f828b104180d2c7a9ac8065669e7a286c5bf49bff3345b27314b45c8817ccb",
         "summary.json":
             "56808d7dd1c5b727efaf6af06319ea44242ba121f1efa7b9cb7bbe4aba910be2",
+    },
+    "zdt1_d4_seeds10": {
+        "modehb_epsnet_seed0_archive.csv":
+            "d74f7ce2167ed8aa306be0b1d235b94009c841ec92c2265f6c666d15643c25fe",
+        "modehb_epsnet_seed0_metrics.json":
+            "a9b9e38e4c9219c08ddb292b78fb51cd435a5c43062920bdb1f7e5645b306071",
+        "modehb_epsnet_seed1_archive.csv":
+            "9d7dd55d8279ed71252a3763e0238b12dd7f0d427b083c6c1cde2e2ce071acfd",
+        "modehb_epsnet_seed1_metrics.json":
+            "5c974e4b5afc7476d104056f84e660d7166da9fa2fc0c7797a2428866d3b5629",
+        "modehb_epsnet_seed2_archive.csv":
+            "2ad06bdd31d0158a36e7224f1ff00c59703d6c06e4829737f4edeab67dca591c",
+        "modehb_epsnet_seed2_metrics.json":
+            "fdf1f520edee61600ac52120f9d57f781ed2a66e7cfc52639284a6e1ed75983d",
+        "modehb_epsnet_seed3_archive.csv":
+            "43033e65835feee101e534e294099f55bbb230fac49bc9a257e9f3a7208853c7",
+        "modehb_epsnet_seed3_metrics.json":
+            "19713c5310776ec79c35d802b247e92dc0859fca95eacdb1fe33a4f7845b88ed",
+        "modehb_epsnet_seed4_archive.csv":
+            "26b063fabb298e9f7c4f9a2a508ea0d4a181727fef6f67f55943e0c8c5ef2302",
+        "modehb_epsnet_seed4_metrics.json":
+            "57dc06a81f1099b346a9ebb44550f5921492015e078d9a9a265f5874bb428467",
+        "modehb_epsnet_seed5_archive.csv":
+            "560ce0f6d9fa6cebe1347aed61b992115d7f85e91470e8301f61a5b348c02d1e",
+        "modehb_epsnet_seed5_metrics.json":
+            "20fdf11035b5fa3c2da3c4de120c40ab57da37a9031d4382a26cf32bc9a336ff",
+        "modehb_epsnet_seed6_archive.csv":
+            "f2e225ff760e6bfde0aa7a7463ad0447013daee45afcd364274b5900cf4dd5ea",
+        "modehb_epsnet_seed6_metrics.json":
+            "76f2e2e26b90eeda2e10e8069bbbe4a6da7c3130258c34bd001ea5798434ca2d",
+        "modehb_epsnet_seed7_archive.csv":
+            "77467b46494575bcabdd8b76f65c7cc009e304da54375236c1c8b99fb722eb38",
+        "modehb_epsnet_seed7_metrics.json":
+            "11f13ba7e8bce2fec133dda02050c523d30703ac7a2d1a05ff478296f2d310d2",
+        "modehb_epsnet_seed8_archive.csv":
+            "fa2811fdea6205e07641076e2d2b9a089dc50799c0858742d2e0bfd2a165ea1c",
+        "modehb_epsnet_seed8_metrics.json":
+            "fcfe390f1be26366ddc93651f3dc0273af07afa0d8e6a604c77584d41bed99ee",
+        "modehb_epsnet_seed9_archive.csv":
+            "490ce0be9d538691f1980710dbda68612b516b2a6b7a92217a06fd41adf9533b",
+        "modehb_epsnet_seed9_metrics.json":
+            "6404e2c6fad2cd97ec8164e00f40e2983602b8e6f265f18bdef1368c320d8b62",
+        "modehb_nsga2_seed0_archive.csv":
+            "36773bf04129b87beb6cfa35cf30a6561a05963a4a7d7bb1d0a7ab3c86e7bb56",
+        "modehb_nsga2_seed0_metrics.json":
+            "f1f06104c7035637058d1519667b2df2ac1b0474d801ab4a1bf25b15896158d6",
+        "modehb_nsga2_seed1_archive.csv":
+            "b324897ab6d72f29249889550f89bec5081a58d36ac9ac40cd23f01a44ef3fb2",
+        "modehb_nsga2_seed1_metrics.json":
+            "9b763295e9b6886b2ac3842943f4a71e34804645393c3c9d32dee8952c462b7c",
+        "modehb_nsga2_seed2_archive.csv":
+            "22cf0cb407addb2d9fbc25b842181db3e46d7d871f5fcd3642ac93866999ee5e",
+        "modehb_nsga2_seed2_metrics.json":
+            "bcf2203ef2d011c84be29877b562c1208b2d77da37dca8e2ed15908bf4b29ca6",
+        "modehb_nsga2_seed3_archive.csv":
+            "6fae9fa08f8ed813cbc4774f7565387cd91310202fb1dcf9663cb5db671910fe",
+        "modehb_nsga2_seed3_metrics.json":
+            "85fbc0e1649b81b69b5d23337c3fc43846eedbdab2a120a3074bb10868918a72",
+        "modehb_nsga2_seed4_archive.csv":
+            "f605a7f2a3fe603d9273f18b01f4d5639013818526d34bcf2e184c4112aae2ea",
+        "modehb_nsga2_seed4_metrics.json":
+            "e96773d2b0923446e6b387c2d048fc8c5f62ec17eae2fe0c139ff3b57b9c9fbf",
+        "modehb_nsga2_seed5_archive.csv":
+            "d5f7d2828885e1692f52a07f7dcbf6c1d679764e45543e5bd2ff93bcf8bd7e22",
+        "modehb_nsga2_seed5_metrics.json":
+            "ca020281af14b3ea65e6494097e77f4905b7b110dedc1ddd61e1693dad5e359c",
+        "modehb_nsga2_seed6_archive.csv":
+            "7a1c8f0bb60d806acf4f9988ba80ef11054ae46f0688c6dc7b92da88904470d2",
+        "modehb_nsga2_seed6_metrics.json":
+            "d1ac9147222deb892c8bfd3ae9953472f61e19b51035ce8be40d64c389b8bc06",
+        "modehb_nsga2_seed7_archive.csv":
+            "83938dbb2b67a364e2210a653f294a293b64c914b26e4b4681256d92b8385c6f",
+        "modehb_nsga2_seed7_metrics.json":
+            "d99d4ca1546bc132a55726bd4799c8c3028048e1ed9cb798501a7696f8fb22f7",
+        "modehb_nsga2_seed8_archive.csv":
+            "9a34cde36aa94b2b907e6ceb88ecc5864ba03cd3d3b58c1c7010ba75cbe92ee7",
+        "modehb_nsga2_seed8_metrics.json":
+            "83fa3e204fa7d6c006497cd0ec17116db137255309054099ebc3878a726cef2a",
+        "modehb_nsga2_seed9_archive.csv":
+            "241bb66a66715313a9ae76456ef3ed1f99459973f87beb8cbe67e6e3b30155f4",
+        "modehb_nsga2_seed9_metrics.json":
+            "0808d8f0aa97749298837f18cef5faabed35e42fae5a232c52cfe826925c9c71",
+        "random_search_seed0_archive.csv":
+            "5e348a3c180c8f36b80e44b4c87ecba38ff7e0678e431b29fbf2175a6284583c",
+        "random_search_seed0_metrics.json":
+            "dea12792ce0b8f4a0fae53620e90ff70694f33f3eb950ba494a35c3a8b27ce37",
+        "random_search_seed1_archive.csv":
+            "81a13d70fb0920f1169769c7ce263ac26c641c14a0bdaf2fab49a911cf8b1282",
+        "random_search_seed1_metrics.json":
+            "5514ad74296e8c95d75072f646f482278d783cc1de1c4f85d3c5abc26774b9d3",
+        "random_search_seed2_archive.csv":
+            "14b9368608ead3c500a8db5e597b17140199f318b08f2a71f088cc8c9fbae763",
+        "random_search_seed2_metrics.json":
+            "1a0015922516ad31e18904efaf006a2e30bee424e93592a6b1981744f9d3b704",
+        "random_search_seed3_archive.csv":
+            "8dcf8cfaf20b7ea04526dc66aca3f386c63181bdd2873207528bbe365d8ea708",
+        "random_search_seed3_metrics.json":
+            "c54f58df55fd156a37d3464461df8be28fbff9235846bfcafd322a2f806e9238",
+        "random_search_seed4_archive.csv":
+            "a9b0cfee11a90bccf44cebff74d9eab54cfabc484f608618a26cffb84843f7bd",
+        "random_search_seed4_metrics.json":
+            "1c766999458c466751b130aae73aac88643adb32a7dbbeb3b9ef1cfd9c7a6162",
+        "random_search_seed5_archive.csv":
+            "b6e87095a31e7396eb52caaca2c087c42433afc1d918e3aa7ed721ef906163e1",
+        "random_search_seed5_metrics.json":
+            "ecd7d1f85a29a746d1ba39202babf612f7490c4259ae7c09410ffe1e7ec67d4e",
+        "random_search_seed6_archive.csv":
+            "ffb0729edcf80a527b9e0301a1c4d23309fb217fe57b904ad1831e95d951e4ad",
+        "random_search_seed6_metrics.json":
+            "b2b3cb2e8d340c4765294771717ea4a89980b6626b59a646adee0fa4125b0374",
+        "random_search_seed7_archive.csv":
+            "faac54ab8dce47b552b35b46bf19f18b3ba212193ec7c2aca863aab9cdea53dc",
+        "random_search_seed7_metrics.json":
+            "bf6b0b02aaac28a9e931e5faa503eb146e29530e1ada9eeee7dd8ef917a6be38",
+        "random_search_seed8_archive.csv":
+            "8661f4b3fc3d2764cb27cd994c05b6a338120226328460ceda5766e252ea6250",
+        "random_search_seed8_metrics.json":
+            "45698eb2f82f903bed654d1b97c97aa65c9ea3db3a049f2789776d18413f6694",
+        "random_search_seed9_archive.csv":
+            "a3ec5da4601eb3877526cf0376ae5bc7a007ef9ddfccf362fdd29e6a3315e545",
+        "random_search_seed9_metrics.json":
+            "4aadd6fd7206f9f5a85303345096efa3fe29705365df99b7c6a43afbe8afb997",
+        "report_attainment_modehb_epsnet_k1.csv":
+            "cd6b95abb2887e534839137d0dfbe03b49e0de2cad8cf70a00339b32d6564ee2",
+        "report_attainment_modehb_epsnet_k5.csv":
+            "70889645b65a0a810ee9b3e4a6255f81ca0d904070204107c9a8789e7f875f1b",
+        "report_attainment_modehb_epsnet_k9.csv":
+            "5bd0e01e1d5c50de8b58ab186c3f42503223e90087ff3bb743b924fe68f5dec5",
+        "report_attainment_modehb_nsga2_k1.csv":
+            "d65e20315680ab9d40e957419e31441d996250c7a83a405948e8500232808dfb",
+        "report_attainment_modehb_nsga2_k5.csv":
+            "b8f595c62db57d785be5a35f94a70d04ff8d8b02479baf6374d5575629216c09",
+        "report_attainment_modehb_nsga2_k9.csv":
+            "61d7d4a579cee5997000873232aff34952b34d32a7f5816470215d70f8ebd31e",
+        "report_attainment_random_search_k1.csv":
+            "a86460e37ce964a44379720f3452002b259ad1e7c0a5bcb51677e706133a56d0",
+        "report_attainment_random_search_k5.csv":
+            "20adce29e99b4ab2fa0aa2b9aa3e463cd359fb18531a093b7e02b2db08e84b8b",
+        "report_attainment_random_search_k9.csv":
+            "815fa9e60b415f84195074781c9b20545f6ac87dff5f4d224afe16ad1b3b9b19",
+        "report_hv_modehb_epsnet.csv":
+            "5309900ed587fce2729f35de8bc5eb099d92372df1bbdad89bd234f88c9bfa92",
+        "report_hv_modehb_nsga2.csv":
+            "5e3710f877881803e01f8db073630c1f940fe08f8637b423fb1be6f806577e3e",
+        "report_hv_random_search.csv":
+            "874b8d06da05df442f0023f7ea050d43f4264d93bb03de178387f9c7e65da36e",
+        "report_loghvdiff_modehb_epsnet.csv":
+            "7234f5216acceecc4071113a361cf3c61d959f8512e7f3f41ce83aa91c7133e6",
+        "report_loghvdiff_modehb_nsga2.csv":
+            "bc315beb63549d34e6bad4f26b0889d1392b45670c320d03ab2eea7965c24d69",
+        "report_loghvdiff_random_search.csv":
+            "1316f319c9c821cf4cf75c3b8aadefcc4eb6e8a2219d7801148cd295f866f5a2",
+        "report_rank.csv":
+            "b6043c4f5e66bae8163b1362a001b0d897b06ff2fde576c571bf03e55f89ba8b",
+        "summary.json":
+            "87af5593f6cacc45c797943458052c45ac88b020b2223f2150fc48b7d41548f4",
     },
     "zdt1_d6": {
         "modehb_epsnet_seed0_archive.csv":

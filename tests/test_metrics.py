@@ -101,22 +101,35 @@ def test_hv_trajectory_never_decreases():
     assert np.all(np.diff(series.cumulative_cost) > 0.0)
 
 
-def test_hv_trajectory_equals_hypervolume_of_each_prefix():
+def _lattice_run(seed):
     # Lattice points near the anti-diagonal: the front grows slowly and
     # holds ties and exact duplicates; values beyond the bounds are clamped
     # onto the edges of the reference box.
-    rng = np.random.default_rng(9)
+    rng = np.random.default_rng(seed)
     f1 = rng.integers(-1, 12, size=300)
     pts = np.column_stack([f1, 10 - f1 + rng.integers(0, 4, size=300)]) / 10.0
-    fids = list(rng.choice(LADDER.levels, size=300))
-    run = make_run(pts, fidelities=fids)
+    return make_run(pts, fidelities=list(rng.choice(LADDER.levels, size=300)))
+
+
+def _dense_front_run():
+    # f2 = 1 - f1 on a grid, in shuffled order: every point joins the staircase.
+    f1 = np.random.default_rng(4).permutation(np.linspace(0.0, 1.0, 101))
+    return make_run(np.column_stack([f1, 1.0 - f1]))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_lattice_run(9), _lattice_run(10), _lattice_run(11), _dense_front_run()],
+    ids=["lattice9", "lattice10", "lattice11", "dense_front"],
+)
+def test_hv_trajectory_equals_hypervolume_of_each_prefix(run):
     series = hv_trajectory(run, UNIT)
     assert final_hv(run, UNIT) == series.hv[-1]
     ref = np.array([1.0, 1.0])
-    for i in range(300):
-        prefix = [p for p, f in zip(pts[: i + 1], fids) if f == LADDER.b_max]
+    for i in range(len(run.cost)):
+        prefix = run.objectives[: i + 1][run.fidelity[: i + 1] == LADDER.b_max]
         expect = 0.0
-        if prefix:
+        if len(prefix):
             expect = hypervolume(normalize(prefix, UNIT), ref)
         assert series.hv[i] == expect
 
@@ -131,6 +144,21 @@ def test_log_hv_diff_values():
     # Overshooting the reference front still floors at the minimum gap.
     assert log_hv_diff(0.7, 2.0 / 3.0) == pytest.approx(-12.0)
     assert LOG_HV_DIFF_FLOOR == 1e-12
+
+
+def test_log_hv_diff_of_an_array_is_the_scalar_call_per_element():
+    rng = np.random.default_rng(5)
+    best = 2.0 / 3.0
+    # Gaps across many decades, exact hits, overshoots and the floor itself.
+    hv = np.concatenate([
+        best - 10.0 ** rng.uniform(-14, 0, size=200),
+        best + rng.uniform(0, 0.1, size=20),
+        [best, best - LOG_HV_DIFF_FLOOR, 0.0, 1.0],
+    ]).reshape(28, 8)
+    table = log_hv_diff(hv, best)
+    assert table.shape == hv.shape
+    expect = np.array([[log_hv_diff(float(h), best) for h in row] for row in hv])
+    assert table.tobytes() == expect.tobytes()
 
 
 # ------------------------------------------------------- fronts and unions

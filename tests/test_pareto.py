@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from modehb.errors import (
+    DimensionError,
     EmptyPopulationError,
     SelectionError,
     UnsupportedDimensionError,
@@ -46,6 +47,20 @@ def test_nds_hand_cases():
 def test_nds_empty_raises():
     with pytest.raises(EmptyPopulationError):
         non_dominated_sort(np.empty((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "points, error",
+    [
+        ([0.5, 0.5], DimensionError),
+        ([[0.5], [0.25]], DimensionError),
+        ([[0.5, 0.5], [np.nan, 0.25]], ValueError),
+    ],
+    ids=["one_dimensional", "one_column", "nan"],
+)
+def test_nds_rejects_bad_points(points, error):
+    with pytest.raises(error):
+        non_dominated_sort(np.array(points))
 
 
 def test_nds_stable_within_front():
