@@ -1,12 +1,12 @@
 """Synthetic multi-fidelity benchmarks with known Pareto fronts.
 
-Every benchmark is deterministic and exposes a geometric fidelity ladder;
-its evaluator accepts genotypes in [0, 1]^d (``space.check_genotype``:
-DimensionError for another length, ValueError for a component outside
-the cube or NaN) and the exact ladder levels only.  Lower fidelities
-distort the objectives by an additive bias ``bias * (1 - b / b_max)``
-that vanishes at full fidelity, and simulated cost equals the fidelity
-value in seconds.
+Every benchmark is deterministic and exposes a geometric fidelity ladder.
+A problem declares only its full-fidelity objectives, and one fidelity
+model, ``_fidelity_model``, makes its evaluator: genotypes in [0, 1]^d only
+(``space.check_genotype``: DimensionError for another length, ValueError
+for a component outside the cube or NaN), exact ladder levels b only
+(BenchmarkError), ``bias * (1 - b / b_max)`` added to every objective, so
+full fidelity is unbiased, and a simulated cost of b seconds.
 
 The ZDT-style problems declare the full-fidelity front box (0, 1)^2 as
 their normalization bounds; values outside (bad configurations, biased
@@ -37,11 +37,11 @@ class Benchmark:
     """A named problem: search space, ladder, bounds and evaluator.
 
     ``evaluate(genotype, fidelity)`` returns ``(objectives, cost_seconds)``
-    and is deterministic.  ``true_hv`` is the hypervolume of the true
-    full-fidelity front after ``metrics.normalize`` by ``objective_bounds``,
-    with reference point ``metrics.REF``; ``front`` holds the exact front
-    for enumerable problems and ``front_curve(n)`` samples continuous
-    fronts densely.
+    by the module docstring's fidelity model.  ``true_hv`` is the
+    hypervolume of the true full-fidelity front after ``metrics.normalize``
+    by ``objective_bounds``, with reference point ``metrics.REF``; ``front``
+    holds the exact front for enumerable problems and ``front_curve(n)``
+    samples continuous fronts densely.
     """
 
     name: str
@@ -54,11 +54,18 @@ class Benchmark:
     front_curve: Callable[[int], np.ndarray] | None = field(default=None)
 
 
-def _check_inputs(space: SearchSpace, ladder: FidelityLadder, genotype, fidelity):
-    genotype = check_genotype(space, genotype)
-    if fidelity not in ladder.levels:
-        raise BenchmarkError(f"fidelity {fidelity} is not a ladder level")
-    return genotype
+def _fidelity_model(space: SearchSpace, ladder: FidelityLadder, bias: float, objectives):
+    """The evaluator of full-fidelity objectives ``(f1, f2) = objectives(x)``."""
+
+    def evaluate(genotype, fidelity):
+        x = check_genotype(space, genotype)
+        if fidelity not in ladder.levels:
+            raise BenchmarkError(f"fidelity {fidelity} is not a ladder level")
+        f1, f2 = objectives(x)
+        offset = bias * (1.0 - fidelity / ladder.b_max)
+        return np.array([f1 + offset, f2 + offset]), float(fidelity)
+
+    return evaluate
 
 
 def _zdt(name: str, d: int, ladder: FidelityLadder, bias: float, shape, true_hv) -> Benchmark:
@@ -70,16 +77,12 @@ def _zdt(name: str, d: int, ladder: FidelityLadder, bias: float, shape, true_hv)
             for i in range(d)
         )
     )
-    b_max = ladder.b_max
 
-    def evaluate(genotype, fidelity):
-        x = _check_inputs(space, ladder, genotype, fidelity)
+    def objectives(x):
         f1 = float(x[0])
         # np.mean's own sum and division, without its wrapper: same bits.
         g = 1.0 + 9.0 * (float(np.add.reduce(x[1:])) / (d - 1))
-        f2 = g * shape(f1, g)
-        offset = bias * (1.0 - fidelity / b_max)
-        return np.array([f1 + offset, f2 + offset]), float(fidelity)
+        return f1, g * shape(f1, g)
 
     def front_curve(n: int) -> np.ndarray:
         t = np.linspace(0.0, 1.0, n)
@@ -90,7 +93,7 @@ def _zdt(name: str, d: int, ladder: FidelityLadder, bias: float, shape, true_hv)
         space=space,
         ladder=ladder,
         objective_bounds=((0.0, 1.0), (0.0, 1.0)),
-        evaluate=evaluate,
+        evaluate=_fidelity_model(space, ladder, bias, objectives),
         true_hv=true_hv,
         front_curve=front_curve,
     )
@@ -127,17 +130,12 @@ def toy_grid(k: int, ladder: FidelityLadder, bias: float = 0.5) -> Benchmark:
             ParameterSpec(name="b", kind="categorical", choices=tuple(range(k))),
         )
     )
-    b_max = ladder.b_max
 
-    def cell_objectives(i: int, j: int) -> np.ndarray:
-        return np.array([i / (k - 1), table[i, j]])
+    def objectives(x):
+        i, j = config_key(space, x)
+        return i / (k - 1), table[i, j]
 
-    def evaluate(genotype, fidelity):
-        i, j = config_key(space, _check_inputs(space, ladder, genotype, fidelity))
-        offset = bias * (1.0 - fidelity / b_max)
-        return cell_objectives(i, j) + offset, float(fidelity)
-
-    cells = np.array([cell_objectives(i, j) for i in range(k) for j in range(k)])
+    cells = np.column_stack([np.repeat(np.arange(k) / (k - 1), k), table.ravel()])
     front = cells[non_dominated_sort(cells)[0]]
     bounds = ((0.0, 1.5), (0.0, 1.5))
     return Benchmark(
@@ -145,7 +143,7 @@ def toy_grid(k: int, ladder: FidelityLadder, bias: float = 0.5) -> Benchmark:
         space=space,
         ladder=ladder,
         objective_bounds=bounds,
-        evaluate=evaluate,
+        evaluate=_fidelity_model(space, ladder, bias, objectives),
         true_hv=hypervolume(normalize(front, bounds), REF),
         front=front,
     )

@@ -317,13 +317,12 @@ def _load_runs(out_dir: Path):
         opt_names = [o["name"] for o in config["optimizers"]]
         seeds, best = config["seeds"], float(summary["empirical_best_hv"])
         entries = [(e["optimizer"], e["seed"], e["archive"]) for e in summary["runs"]]
-        listed = {(name, seed) for name, seed, _ in entries}
-        for name in opt_names:
-            for seed in seeds:
-                if (name, seed) not in listed:
-                    raise _UsageError(
-                        f"{summary_path}: runs lists no {name} run for seed {seed}"
-                    )
+        listed = [(name, seed) for name, seed, _ in entries]
+        configured = [(name, seed) for name in opt_names for seed in seeds]
+        if len(listed) != len(configured) or set(listed) != set(configured):
+            raise _UsageError(
+                f"{summary_path}: runs must list each (optimizer, seed) pair of the config once"
+            )
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{summary_path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -343,7 +342,7 @@ def _load_runs(out_dir: Path):
             run = read_archive_csv(out_dir / archive, meta)
         except ValueError as exc:
             raise _UsageError(f"{out_dir / archive}: malformed archive ({exc})") from exc
-        # `run` writes cost = fidelity >= b_min > 0, and the time grid is geometric.
+        # The time grid is geometric, so it needs positive costs.
         if not (run.cost > 0).all():
             raise _UsageError(f"{out_dir / archive}: a cost is not positive")
         if not np.isin(run.fidelity, ladder.levels).all():

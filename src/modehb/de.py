@@ -48,10 +48,10 @@ class DEParams:
 def distinct_indices(uniforms, n: int) -> list[int]:
     """Map uniforms in [0, 1) to as many distinct indices below n.
 
-    The j-th uniform u (counting from 0) picks the floor(u * m)-th, clamped
-    below m, of the m = n - j indices not taken yet, by skipping the taken
-    ones in ascending order.  Independent uniforms thus give every ordered
-    tuple of distinct indices the same probability.
+    The j-th uniform u (counting from 0) picks the floor(u * m)-th of the
+    m = n - j indices not taken yet, skipping taken ones in ascending order,
+    so every ordered tuple of distinct indices is equally likely.  u * m
+    rounds below m for u < 1; u >= 1, outside [0, 1), picks the last one.
 
     Raises:
         ValueError: If there are more uniforms than indices.
@@ -62,7 +62,7 @@ def distinct_indices(uniforms, n: int) -> list[int]:
     free = n
     for u in uniforms:
         i = int(u * free)
-        if i >= free:  # u * free can round up to free
+        if i >= free:  # only u >= 1 gets here (docstring)
             i = free - 1
         for taken in sorted(picked):
             if i >= taken:
@@ -94,10 +94,10 @@ def mutate_rand1(pool, params: DEParams, uniforms) -> list[float]:
 def crossover_binomial(target, mutant, params: DEParams, uniforms) -> list:
     """Binomial crossover; one uniformly chosen coordinate is always mutant.
 
-    Of the 1 + d ``uniforms``, the first picks the forced coordinate,
-    floor(u * d) clamped below d (``distinct_indices``' map for one pick);
-    coordinate i takes the mutant's value when uniform 1 + i is below the
-    crossover probability.  Draws nothing (module docstring).
+    Of the 1 + d ``uniforms``, the first picks the forced coordinate as
+    ``distinct_indices`` picks one index (u >= 1 gives d - 1); coordinate i
+    takes the mutant's value when uniform 1 + i is below the crossover
+    probability.  Draws nothing (module docstring).
 
     Raises:
         DimensionError: If target and mutant differ in length.
@@ -111,7 +111,7 @@ def crossover_binomial(target, mutant, params: DEParams, uniforms) -> list:
         raise ValueError(f"crossover needs {1 + d} uniforms, got {len(uniforms)}")
     cr = params.crossover_prob
     child = [m if u < cr else t for t, m, u in zip(target, mutant, uniforms[1:])]
-    forced = min(int(uniforms[0] * d), d - 1)
+    forced = min(int(uniforms[0] * d), d - 1)  # the min catches only u >= 1
     child[forced] = mutant[forced]
     return child
 

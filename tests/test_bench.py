@@ -49,17 +49,32 @@ def test_zdt2_front_corners_at_full_fidelity():
     assert objs == pytest.approx([1.0, 0.0])
 
 
-def test_low_fidelity_adds_vanishing_bias():
-    # Same genotype across the ladder: both objectives carry an additive
-    # offset 0.5 * (1 - b / b_max) that hits zero at b_max.
-    bm = zdt1_mf(6, LADDER)
-    x = np.full(6, 0.3)
-    top, _ = bm.evaluate(x, 27.0)
-    for level in (1.0, 3.0, 9.0):
-        objs, cost = bm.evaluate(x, level)
-        offset = 0.5 * (1.0 - level / 27.0)
-        assert objs == pytest.approx(top + offset)
-        assert cost == level
+@pytest.mark.parametrize("bias", [0.5, 0.25])
+@pytest.mark.parametrize(
+    "factory, size, ladder",
+    [(zdt1_mf, 6, LADDER), (zdt2_mf, 6, LADDER), (toy_grid, 4, TOY_LADDER)],
+    ids=["zdt1_mf", "zdt2_mf", "toy_grid"],
+)
+def test_low_fidelity_adds_vanishing_bias(factory, size, ladder, bias):
+    # One fidelity model for every benchmark: every ladder level adds exactly
+    # bias * (1 - b / b_max) to both full-fidelity objectives and costs b.
+    bm = factory(size, ladder, bias=bias)
+    d, b_max = len(bm.space), ladder.b_max
+    for x in (np.full(d, 0.3), np.linspace(0.0, 1.0, d)):
+        top, _ = bm.evaluate(x, b_max)
+        for level in ladder.levels:
+            objs, cost = bm.evaluate(x, level)
+            assert objs.tolist() == (top + bias * (1.0 - level / b_max)).tolist()
+            assert cost == level
+    # The same checks on every benchmark; exact ladder levels only, not one
+    # a ulp off b_max.
+    with pytest.raises(DimensionError):
+        bm.evaluate(np.zeros(d - 1), b_max)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        bm.evaluate(np.full(d, 1.5), b_max)
+    for fidelity in (5.0, np.nextafter(b_max, 0.0)):
+        with pytest.raises(BenchmarkError, match="is not a ladder level"):
+            bm.evaluate(np.zeros(d), fidelity)
 
 
 def test_bias_shrinks_monotonically_toward_b_max():
@@ -67,16 +82,6 @@ def test_bias_shrinks_monotonically_toward_b_max():
     x = np.full(4, 0.6)
     f1 = [bm.evaluate(x, level)[0][0] for level in LADDER.levels]
     assert f1 == sorted(f1, reverse=True)
-
-
-def test_zdt_rejects_off_ladder_fidelity_and_bad_shape():
-    # Evaluators accept exact ladder levels only, not one a ulp off b_max.
-    for bm in (zdt1_mf(6, LADDER), toy_grid(4, TOY_LADDER)):
-        for fidelity in (5.0, np.nextafter(bm.ladder.b_max, 0.0)):
-            with pytest.raises(BenchmarkError):
-                bm.evaluate(np.zeros(len(bm.space)), fidelity)
-    with pytest.raises(DimensionError):
-        zdt1_mf(6, LADDER).evaluate(np.zeros(5), 27.0)
 
 
 @pytest.mark.parametrize(
@@ -168,10 +173,6 @@ def test_toy_grid_cell_decoding():
 
 def test_toy_grid_bias_and_bounds():
     bm = toy_grid(4, TOY_LADDER)
-    x = np.array([0.4, 0.4])
-    top, _ = bm.evaluate(x, 4.0)
-    low, _ = bm.evaluate(x, 1.0)
-    assert low == pytest.approx(top + 0.5 * (1.0 - 1.0 / 4.0))
     assert bm.objective_bounds == ((0.0, 1.5), (0.0, 1.5))
     # Every reachable value (including the bias) fits inside the bounds.
     table = toy_table(4)

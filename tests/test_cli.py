@@ -596,6 +596,26 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     assert low in broken_copy("cut_after_objective_1", cut_row(low, 6, 5))
 
 
+def test_report_reads_only_the_runs_its_config_names(tmp_path, run_dir, capsys):
+    # An unconfigured seed would stretch the time grid, and a pair listed
+    # twice would silently take the later archive; both are refused.
+    extra = {"optimizer": "modehb_nsga2", "seed": 7,
+             "archive": "modehb_nsga2_seed1_archive.csv",
+             "metrics": "modehb_nsga2_seed1_metrics.json"}
+    twice = dict(extra, seed=0)
+    for name, entry in (("unconfigured", extra), ("twice", twice)):
+        out = shutil.copytree(run_dir, tmp_path / name)
+        summary = json.loads((out / "summary.json").read_text("utf-8"))
+        summary["runs"].append(entry)
+        (out / "summary.json").write_text(json.dumps(summary), "utf-8")
+        assert cli.main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {out / 'summary.json'}: runs must list each (optimizer, seed)"
+            " pair of the config once\n"
+        )
+
+
 # ------------------------------------------------------- python -m modehb
 
 

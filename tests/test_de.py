@@ -192,16 +192,18 @@ def test_crossover_forced_coordinate_lattice(d):
 
 
 def test_uniform_mappings_stay_below_n_at_the_top_of_the_unit_interval():
-    top = float(np.nextafter(1.0, 0.0))
-    for n in range(1, 50):
-        for k in range(1, min(n, 3) + 1):
-            picks = de.distinct_indices([top] * k, n)
-            assert picks == list(range(n - 1, n - 1 - k, -1))
-    for d in range(1, 12):
-        out = crossover_binomial(
-            [0.0] * d, [1.0] * d, DEParams(crossover_prob=0.5), [top] * (1 + d)
-        )
-        assert [i for i, v in enumerate(out) if v] == [d - 1]
+    # The largest uniform below 1 maps below n unclamped; 1.0 itself, which
+    # rng.random never draws, reaches the clamps and maps to the last index.
+    for top in (float(np.nextafter(1.0, 0.0)), 1.0):
+        for n in range(1, 50):
+            for k in range(1, min(n, 3) + 1):
+                picks = de.distinct_indices([top] * k, n)
+                assert picks == list(range(n - 1, n - 1 - k, -1))
+        for d in range(1, 12):
+            out = crossover_binomial(
+                [0.0] * d, [1.0] * d, DEParams(crossover_prob=0.5), [top] * (1 + d)
+            )
+            assert [i for i, v in enumerate(out) if v] == [d - 1]
     assert de.distinct_indices([0.0, 0.0, 0.0], 5) == [0, 1, 2]
 
 

@@ -38,6 +38,10 @@ CASES = {
     # Ten seeds: a mean column sums ten values, past the eight from which
     # numpy's pairwise sum unrolls; `report` at its default levels 1, 5, 9.
     "zdt1_d4_seeds10": ({"name": "zdt1_mf", "d": 4}, (1, 9, 3), list(range(10)), 120, []),
+    # A bias other than the default 0.5 on each kind of benchmark: every
+    # low-fidelity objective carries bias * (1 - b / b_max).
+    "zdt2_d6_bias": ({"name": "zdt2_mf", "d": 6, "bias": 0.25}, (1, 9, 3), [0], 120, []),
+    "toy_grid_k4_bias": ({"name": "toy_grid", "k": 4, "bias": 1}, (1, 4, 2), [0], 40, None),
 }
 
 GOLDEN = {
@@ -88,6 +92,22 @@ GOLDEN = {
             "3d1e4b3b9d40317e027089e9c7b8e35197f100707d63597314ee9d04db3f83a1",
         "summary.json":
             "2c6357a8d1f16621eee69536ef468c80df2a28f04a768e41888d4a059aaa68e8",
+    },
+    "toy_grid_k4_bias": {
+        "modehb_epsnet_seed0_archive.csv":
+            "5c39c923d062dd9032b91f5164657a8f206b1586707137002216ff3bb36c8aa9",
+        "modehb_epsnet_seed0_metrics.json":
+            "4c1b62bcd9a8b2345d37c702ef0f8b5812aa502ff0c7269b1d671dd1cb4138ae",
+        "modehb_nsga2_seed0_archive.csv":
+            "5c39c923d062dd9032b91f5164657a8f206b1586707137002216ff3bb36c8aa9",
+        "modehb_nsga2_seed0_metrics.json":
+            "ca529d13bf2dc75a9aab2cc6824c573988d0929124ec13e10cf4ba1afdc86f37",
+        "random_search_seed0_archive.csv":
+            "d96be009722c2e6a5364abd03a3c252698378afe82c09231e7fc2f4c4914884e",
+        "random_search_seed0_metrics.json":
+            "1dccb1f76d3fe8973f1226e806799e8d53d4ad2ccd4524dfbc0ff595c21c6f9f",
+        "summary.json":
+            "61014e75da5fcb72f2306583fdcc247738f6b26d59a7b7bcb6bc80585e1565c8",
     },
     "toy_grid_tiny": {
         "modehb_epsnet_seed0_archive.csv":
@@ -412,6 +432,42 @@ GOLDEN = {
             "bc7dc367aaefb194465a59e15225be04bc948b7178279591b9a436948c2b9a92",
         "summary.json":
             "193b51070d84deece66cacfc44bc8a0115be9c9c95970b2fb805a930faacd91f",
+    },
+    "zdt2_d6_bias": {
+        "modehb_epsnet_seed0_archive.csv":
+            "681a9e4a74f754c28820c34539d9ffd044619ddb46f2132824580d3a09ffb214",
+        "modehb_epsnet_seed0_metrics.json":
+            "518e9060195e6a7bafeada3d7ec759c5d7249f7e65d8df1dadd4ce36230ef1bf",
+        "modehb_nsga2_seed0_archive.csv":
+            "314e651728243e323f3f9fe6aa265dd7b9c62753f95c2cd3afd597b8107ae6e3",
+        "modehb_nsga2_seed0_metrics.json":
+            "1ce9a74371a3eb40f88172d20d675ea4e7828bdb3ab4d154760224121d20ac4a",
+        "random_search_seed0_archive.csv":
+            "3442fd32fd75bef24016938695db3e7c4e963177de23d30dce802a6951edb239",
+        "random_search_seed0_metrics.json":
+            "596167123e461494c031d8f3db778788a7a30a90ebbde7ab1f998cb91eacfd8b",
+        "report_attainment_modehb_epsnet_k1.csv":
+            "6d91ef3d0b51a41f7f2f0123a96d79011d49cd1de05c7d8b850198bf7433c498",
+        "report_attainment_modehb_nsga2_k1.csv":
+            "6d91ef3d0b51a41f7f2f0123a96d79011d49cd1de05c7d8b850198bf7433c498",
+        "report_attainment_random_search_k1.csv":
+            "a4f2b75366316523ded86ed394b0eb51df2fa8de2a77eb0a5f8b268d5a1d6768",
+        "report_hv_modehb_epsnet.csv":
+            "e677a0ed10bb224bcafc5b5242753ae4883c076b32e728749f7f080c21b147e6",
+        "report_hv_modehb_nsga2.csv":
+            "e677a0ed10bb224bcafc5b5242753ae4883c076b32e728749f7f080c21b147e6",
+        "report_hv_random_search.csv":
+            "e677a0ed10bb224bcafc5b5242753ae4883c076b32e728749f7f080c21b147e6",
+        "report_loghvdiff_modehb_epsnet.csv":
+            "bee2f9551d66f3f793a38f1b81950a3c42f772640336e23f2f24159cc11aa799",
+        "report_loghvdiff_modehb_nsga2.csv":
+            "bee2f9551d66f3f793a38f1b81950a3c42f772640336e23f2f24159cc11aa799",
+        "report_loghvdiff_random_search.csv":
+            "bee2f9551d66f3f793a38f1b81950a3c42f772640336e23f2f24159cc11aa799",
+        "report_rank.csv":
+            "f4158c57572a73723acd31a0ef9d10f3b2c23ed025fd538ff3584c4831b77073",
+        "summary.json":
+            "3685344b26bc6bf44650ea302e83310ed917acee0d4bf2aabf3f95c3cc61d35b",
     },
 }
 
