@@ -49,32 +49,43 @@ def test_zdt2_front_corners_at_full_fidelity():
     assert objs == pytest.approx([1.0, 0.0])
 
 
-@pytest.mark.parametrize("bias", [0.5, 0.25])
-@pytest.mark.parametrize(
-    "factory, size, ladder",
-    [(zdt1_mf, 6, LADDER), (zdt2_mf, 6, LADDER), (toy_grid, 4, TOY_LADDER)],
-    ids=["zdt1_mf", "zdt2_mf", "toy_grid"],
-)
-def test_low_fidelity_adds_vanishing_bias(factory, size, ladder, bias):
+# Every benchmark, built at a size and ladder of its own.
+FIDELITY_CASES = [
+    (zdt1_mf, 6, LADDER),
+    (zdt2_mf, 6, LADDER),
+    (toy_grid, 4, TOY_LADDER),
+]
+
+
+def test_low_fidelity_adds_vanishing_bias():
     # One fidelity model for every benchmark: every ladder level adds exactly
     # bias * (1 - b / b_max) to both full-fidelity objectives and costs b.
-    bm = factory(size, ladder, bias=bias)
-    d, b_max = len(bm.space), ladder.b_max
-    for x in (np.full(d, 0.3), np.linspace(0.0, 1.0, d)):
-        top, _ = bm.evaluate(x, b_max)
-        for level in ladder.levels:
-            objs, cost = bm.evaluate(x, level)
-            assert objs.tolist() == (top + bias * (1.0 - level / b_max)).tolist()
-            assert cost == level
+    for factory, size, ladder in FIDELITY_CASES:
+        for bias in (0.5, 0.25):
+            bm = factory(size, ladder, bias=bias)
+            d, b_max = len(bm.space), ladder.b_max
+            for x in (np.full(d, 0.3), np.linspace(0.0, 1.0, d)):
+                top, _ = bm.evaluate(x, b_max)
+                for level in ladder.levels:
+                    objs, cost = bm.evaluate(x, level)
+                    offset = bias * (1.0 - level / b_max)
+                    assert objs.tolist() == (top + offset).tolist(), bm.name
+                    assert cost == level
+
+
+def test_zdt_rejects_off_ladder_fidelity_and_bad_shape():
     # The same checks on every benchmark; exact ladder levels only, not one
     # a ulp off b_max.
-    with pytest.raises(DimensionError):
-        bm.evaluate(np.zeros(d - 1), b_max)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        bm.evaluate(np.full(d, 1.5), b_max)
-    for fidelity in (5.0, np.nextafter(b_max, 0.0)):
-        with pytest.raises(BenchmarkError, match="is not a ladder level"):
-            bm.evaluate(np.zeros(d), fidelity)
+    for factory, size, ladder in FIDELITY_CASES:
+        bm = factory(size, ladder)
+        d, b_max = len(bm.space), ladder.b_max
+        with pytest.raises(DimensionError):
+            bm.evaluate(np.zeros(d - 1), b_max)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bm.evaluate(np.full(d, 1.5), b_max)
+        for fidelity in (5.0, np.nextafter(b_max, 0.0)):
+            with pytest.raises(BenchmarkError, match="is not a ladder level"):
+                bm.evaluate(np.zeros(d), fidelity)
 
 
 def test_bias_shrinks_monotonically_toward_b_max():
