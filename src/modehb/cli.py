@@ -103,6 +103,20 @@ def _check(value, rule, where: str):
     return value
 
 
+def _check_config(config, where: str) -> dict:
+    """``_check`` of CONFIG_RULES, then the rules they cannot state: distinct
+    optimizer names, and no DE settings on random search, which uses none."""
+    config = _check(config, CONFIG_RULES, where)
+    names = [o["name"] for o in config["optimizers"]]
+    if len(set(names)) != len(names):
+        raise _UsageError(f"{where}.optimizers: duplicate optimizer names")
+    for i, entry in enumerate(config["optimizers"]):
+        unused = [key for key in entry if key != "name"]
+        if entry["name"] == "random_search" and unused:
+            raise _UsageError(f"{where}.optimizers[{i}]: random_search takes no {unused[0]!r}")
+    return config
+
+
 def _load_config(path: str) -> dict:
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -111,11 +125,7 @@ def _load_config(path: str) -> dict:
         raise _UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     # The rules accept 1.0 as an integer; it comes back as 1, so seeds name
     # files and seed RNGs as ints and the summary records 1, not 1.0.
-    config = _check(config, CONFIG_RULES, f"{path}: $")
-    names = [o["name"] for o in config["optimizers"]]
-    if len(set(names)) != len(names):
-        raise _UsageError(f"{path}: $.optimizers: duplicate optimizer names")
-    return config
+    return _check_config(config, f"{path}: $")
 
 
 def _resolve(config: dict):
@@ -311,8 +321,7 @@ def _load_runs(out_dir: Path):
         raise _UsageError(f"{summary_path}: no summary found; run an experiment first")
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        config = summary["config"]
-        config = _check(config, CONFIG_RULES, f"{summary_path}: $.config")
+        config = _check_config(summary["config"], f"{summary_path}: $.config")
         ladder, benchmark, _, _ = _resolve(config)
         opt_names = [o["name"] for o in config["optimizers"]]
         seeds, best = config["seeds"], float(summary["empirical_best_hv"])

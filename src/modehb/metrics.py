@@ -55,19 +55,28 @@ class HVSeries:
     hv: np.ndarray
 
 
+def check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper ends of per-objective ``(min, max)`` bounds.
+
+    Raises:
+        NormalizationError: If a bound is not finite or has min >= max.
+    """
+    lo, hi = np.array(bounds, dtype=float).T
+    if not (np.isfinite([lo, hi]).all() and (lo < hi).all()):
+        raise NormalizationError(f"degenerate objective bounds {bounds}")
+    return lo, hi
+
+
 def normalize(values, bounds) -> np.ndarray:
     """Min-max normalize objective vectors (rows) into [0, 1].
 
     Values outside the bounds are clamped onto them.
 
     Raises:
-        NormalizationError: If any bound is degenerate (min >= max).
+        NormalizationError: If any bound is degenerate (``check_bounds``).
     """
     arr = np.atleast_2d(np.asarray(values, dtype=float))
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(hi <= lo):
-        raise NormalizationError(f"degenerate objective bounds {bounds}")
+    lo, hi = check_bounds(bounds)
     if arr.shape[1] != len(bounds):
         raise NormalizationError(
             f"{arr.shape[1]} objectives but {len(bounds)} bounds"

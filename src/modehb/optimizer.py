@@ -64,8 +64,8 @@ from .de import (
     mo_selection,
     mutate_rand1,
 )
-from .errors import EvaluationError, NormalizationError, UnsupportedDimensionError
-from .metrics import RunMetadata, RunTrajectory
+from .errors import EvaluationError, UnsupportedDimensionError
+from .metrics import RunMetadata, RunTrajectory, check_bounds
 from .pareto import rank_and_truncate
 from .scheduler import BracketPlan, FidelityLadder, dehb_iteration_plan
 from .space import SearchSpace, config_key, encode_sample
@@ -179,9 +179,7 @@ def initialize(
         raise UnsupportedDimensionError(
             f"{len(objective_bounds)} objective bounds; only two objectives are supported"
         )
-    lo, hi = np.array(objective_bounds, dtype=float).T
-    if np.any(hi <= lo):
-        raise NormalizationError(f"degenerate objective bounds {objective_bounds}")
+    _, hi = check_bounds(objective_bounds)
     capacities = dict(dehb_iteration_plan(ladder)[0].rungs)
     ends = np.cumsum(list(capacities.values()))
     rows = {

@@ -37,6 +37,8 @@ def build_ladder(b_min: float, b_max: float, eta: int) -> FidelityLadder:
         LadderError: If the bounds/eta are invalid or b_max / b_min is not
             an integer power of eta (relative tolerance 1e-6).
     """
+    if not (math.isfinite(b_min) and math.isfinite(b_max)):
+        raise LadderError(f"b_min={b_min} and b_max={b_max} must be finite")
     if b_min <= 0:
         raise LadderError(f"b_min must be positive, got {b_min}")
     if b_max < b_min:

@@ -10,8 +10,7 @@ equal-width bins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +26,8 @@ class ParameterSpec:
     Args:
         name: Unique parameter name.
         kind: One of ``continuous``, ``integer``, ``categorical``.
-        lower: Lower bound (continuous/integer only).
-        upper: Upper bound (continuous/integer only).
+        lower: Finite lower bound (continuous/integer only; whole if integer).
+        upper: Finite upper bound (continuous/integer only; whole if integer).
         log: Sample on a log scale (requires ``lower > 0``).
         choices: Value list for categorical parameters.
     """
@@ -46,6 +45,10 @@ class ParameterSpec:
         if self.kind in ("continuous", "integer"):
             if self.lower is None or self.upper is None:
                 raise ValueError(f"{self.name}: numeric parameters need bounds")
+            if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+                raise ValueError(f"{self.name}: bounds must be finite")
+            if self.kind == "integer" and (self.lower % 1 or self.upper % 1):
+                raise ValueError(f"{self.name}: integer bounds must be whole numbers")
             if not self.lower < self.upper:
                 raise ValueError(f"{self.name}: lower must be < upper")
             if self.log and self.lower <= 0:
@@ -61,10 +64,7 @@ class ParameterSpec:
 class SearchSpace:
     """Ordered collection of parameters; genotype dimension == len(params)."""
 
-    params: tuple[ParameterSpec, ...] = field(default_factory=tuple)
-    # One decoder per parameter, built once so config_key skips the kind
-    # dispatch on every call.
-    decoders: tuple = field(init=False, repr=False, compare=False)
+    params: tuple[ParameterSpec, ...]
 
     def __post_init__(self):
         if len(self.params) < 1:
@@ -72,7 +72,6 @@ class SearchSpace:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("parameter names must be unique")
-        object.__setattr__(self, "decoders", tuple(map(_decoder, self.params)))
 
     def __len__(self) -> int:
         return len(self.params)
@@ -83,37 +82,21 @@ def encode_sample(space: SearchSpace, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=len(space))
 
 
-def _linear(lower: float, span: float, c: float) -> float:
-    return lower + c * span
-
-
-def _log_linear(log_lower: float, log_span: float, c: float) -> float:
-    return math.exp(log_lower + c * log_span)
-
-
-def _rounded(raw, lower: int, upper: int, c: float) -> int:
-    # Round half up so decoding is a monotone step function of c.
-    return min(max(math.floor(raw(c) + 0.5), lower), upper)
-
-
-def _choice(choices: tuple, c: float):
-    # Equal-width bins; c == 1.0 falls into the last bin.
-    k = len(choices)
-    return choices[min(math.floor(c * k), k - 1)]
-
-
-def _decoder(spec: ParameterSpec):
-    """The map from one genotype component to the parameter's value."""
+def _decode(spec: ParameterSpec, c: float):
+    """The value of the parameter ``spec`` at genotype component ``c``."""
     if spec.kind == "categorical":
-        return partial(_choice, spec.choices)
+        # Equal-width bins; c == 1.0 falls into the last bin.
+        k = len(spec.choices)
+        return spec.choices[min(math.floor(c * k), k - 1)]
     if spec.log:
-        lo, hi = math.log(spec.lower), math.log(spec.upper)
-        raw = partial(_log_linear, lo, hi - lo)
+        lo = math.log(spec.lower)
+        raw = math.exp(lo + c * (math.log(spec.upper) - lo))
     else:
-        raw = partial(_linear, spec.lower, spec.upper - spec.lower)
+        raw = spec.lower + c * (spec.upper - spec.lower)
     if spec.kind == "continuous":
         return raw
-    return partial(_rounded, raw, int(spec.lower), int(spec.upper))
+    # Round half up so decoding is a monotone step function of c.
+    return min(max(math.floor(raw + 0.5), int(spec.lower)), int(spec.upper))
 
 
 def check_genotype(space: SearchSpace, genotype) -> np.ndarray:
@@ -148,4 +131,4 @@ def config_key(space: SearchSpace, genotype) -> tuple:
     genotype nor builds a dict, so it is cheap enough to call per draw.
     """
     values = np.asarray(genotype, dtype=float).tolist()
-    return tuple([decode_value(c) for decode_value, c in zip(space.decoders, values)])
+    return tuple([_decode(spec, c) for spec, c in zip(space.params, values)])

@@ -269,6 +269,9 @@ REJECTED_CONFIGS = [
      [{"name": "modehb_nsga2"}, {"name": "modehb_nsga2", "scaling_factor": 0.7}]),
     ("$.optimizers[0].scaling_factor", ["optimizers", 0, "scaling_factor"], 0),
     ("$.stop.max_tae", ["stop", "max_tae"], 0),
+    # Random search uses no DE setting, so it takes none.
+    ("$.optimizers[2]", ["optimizers", 2, "scaling_factor"], 0.5),
+    ("$.optimizers[2]", ["optimizers", 2, "crossover_prob"], 0.5),
     # Benchmark parameters are typed here; their factories check the ranges.
     ("$.benchmark", ["benchmark", "any_key"], 1),
     ("$.benchmark.bias", ["benchmark", "bias"], "x"),
@@ -535,6 +538,18 @@ def test_report_usage_errors(tmp_path, run_dir, capsys):
     # A config that `run` would refuse is blamed on the summary, not on a flag.
     empty_seeds = edit_summary(lambda summary: summary["config"].update(seeds=[]))
     assert "summary.json: $.config.seeds" in broken_copy("empty_seeds", empty_seeds)
+    # So is a second entry of one optimizer, with its runs, and a DE setting
+    # on random search, which uses none.
+    def twice(summary):
+        summary["config"]["optimizers"].append({"name": "modehb_nsga2", "scaling_factor": 0.7})
+        summary["runs"] += [e for e in summary["runs"] if e["optimizer"] == "modehb_nsga2"]
+
+    err = broken_copy("twice", edit_summary(twice))
+    assert err.endswith("summary.json: $.config.optimizers: duplicate optimizer names\n")
+    de_setting = edit_summary(
+        lambda summary: summary["config"]["optimizers"][2].update(crossover_prob=0.5))
+    err = broken_copy("de_setting", de_setting)
+    assert err.endswith("summary.json: $.config.optimizers[2]: random_search takes no 'crossover_prob'\n")
     # A row of the wrong length is named by its file line, as a blank one is.
     appended_line = len((run_dir / archive).read_text("utf-8").splitlines()) + 1
     for name, row in (("bad_row", "3,4,oops"), ("short_row", "3,4")):
@@ -755,6 +770,12 @@ def test_bench_oracle_usage_errors(capsys):
     assert cli.main(["bench-oracle", "nope"]) == 2
     assert cli.main(["bench-oracle", "zdt1_mf", "--ladder", "1,20,3"]) == 2
     capsys.readouterr()
+    # Non-finite ladder bounds are usage errors too, named as such.
+    for ladder in ("1,inf,3", "nan,9,3"):
+        assert cli.main(["bench-oracle", "zdt1_mf", "--ladder", ladder]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err
     # No sampled front at all, and one that would print a sampled HV of 0.
     for samples in ("-1", "0"):
         assert cli.main(["bench-oracle", "zdt1_mf", "--samples", samples]) == 2

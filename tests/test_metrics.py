@@ -1,5 +1,7 @@
 """Tests for normalization, trajectories, and attainment surfaces."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,11 @@ def test_normalize_validation():
         normalize([[0.5, 0.5]], ((0.0, 0.0), (0.0, 1.0)))
     with pytest.raises(NormalizationError):
         normalize([[0.5, 0.5, 0.5]], UNIT)
+    # A NaN bound would normalize to NaN, and an infinite upper bound would
+    # map every value to 0.0.
+    for bound in ((0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(NormalizationError, match="degenerate objective bounds"):
+            normalize([[0.5, 0.5]], ((0.0, 1.0), bound))
 
 
 # ------------------------------------------------------------- trajectory

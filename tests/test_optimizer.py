@@ -333,6 +333,29 @@ def test_run_rejects_bounds_for_other_than_two_objectives(n_bounds):
     assert calls == []
 
 
+@pytest.mark.parametrize("bound", [(0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)])
+def test_run_refuses_non_finite_objective_bounds_up_front(bound):
+    # Else a run would evaluate until its first hypervolume tie-break, and
+    # only then fail on the non-finite reference point.
+    calls = []
+
+    def objective(genotype, fidelity):
+        calls.append(fidelity)
+        return BENCH.evaluate(genotype, fidelity)
+
+    bounds = ((0.0, 1.0), bound)
+    with pytest.raises(NormalizationError, match="degenerate objective bounds"):
+        initialize(BENCH.space, LADDER, seed=0, variant="nsga2", objective_bounds=bounds)
+    with pytest.raises(NormalizationError, match="degenerate objective bounds"):
+        Optimizer(BENCH.space, LADDER, "epsnet", 0, objective_bounds=bounds)
+    with pytest.raises(NormalizationError, match="degenerate objective bounds"):
+        run(
+            BENCH.space, LADDER, "nsga2", objective, StoppingCriteria(max_tae=300), 0,
+            objective_bounds=bounds,
+        )
+    assert calls == []
+
+
 # ----------------------------------------------------------------- promote
 
 

@@ -1,5 +1,7 @@
 """Tests for fidelity ladders and successive-halving bracket plans."""
 
+import math
+
 import pytest
 
 from modehb.errors import BracketError, LadderError
@@ -43,6 +45,10 @@ def test_ladder_validation():
         build_ladder(27, 3, 3)
     with pytest.raises(LadderError):
         build_ladder(1, 27, 1)
+    # Else round() would overflow on the ratio's log, or fail to convert NaN.
+    for b_min, b_max in ((1, math.inf), (math.nan, 9), (1, math.nan), (math.inf, math.inf)):
+        with pytest.raises(LadderError, match="must be finite"):
+            build_ladder(b_min, b_max, 3)
 
 
 def test_bracket_plan_tables_eta3_three_levels():

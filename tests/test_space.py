@@ -1,5 +1,7 @@
 """Tests for the search-space encoding and decoding layer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,20 +49,40 @@ def test_decode_boundaries():
 
 
 def test_all_linear_space_keys_match_the_per_parameter_decoders():
-    # config_key and decode agree with the per-parameter decoders, bit for
-    # bit, on an all-linear continuous space.
+    # config_key and decode agree, in value and in type, with each kind's
+    # formula written out: linear, log, integer (round half up, then clamp),
+    # log-integer and categorical (k equal-width bins, c == 1.0 in the last).
+    choices = ("relu", (1, 2), 3.5, None)
     space = SearchSpace(
         (
-            ParameterSpec("a", "continuous", lower=0.0, upper=1.0),
-            ParameterSpec("b", "continuous", lower=-3, upper=7),
-            ParameterSpec("c", "continuous", lower=0.1, upper=0.3),
+            ParameterSpec("linear", "continuous", lower=-3, upper=7),
+            ParameterSpec("log", "continuous", lower=1e-4, upper=1.0, log=True),
+            ParameterSpec("integer", "integer", lower=-2, upper=8),
+            ParameterSpec("log_integer", "integer", lower=1, upper=1000, log=True),
+            ParameterSpec("categorical", "categorical", choices=choices),
         )
     )
+    log_lo, log_hi = math.log(1e-4), math.log(1.0)
+    int_log_lo, int_log_hi = math.log(1), math.log(1000)
+
+    def reference(c):
+        return (
+            -3 + c * (7 - -3),
+            math.exp(log_lo + c * (log_hi - log_lo)),
+            min(max(math.floor((-2 + c * (8 - -2)) + 0.5), -2), 8),
+            min(max(math.floor(math.exp(int_log_lo + c * (int_log_hi - int_log_lo)) + 0.5), 1), 1000),
+            choices[min(math.floor(c * 4), 3)],
+        )
+
+    special = [0.0, -0.0, 0.25, 0.5, 1 / 3, math.nextafter(1.0, 0.0), 1.0]
     rng = np.random.default_rng(0)
-    for genotype in [np.zeros(3), np.ones(3), *rng.random((200, 3))]:
-        reference = tuple(f(c) for f, c in zip(space.decoders, genotype.tolist()))
-        assert config_key(space, genotype) == reference
-        assert list(decode(space, genotype).values()) == list(reference)
+    for c in special + rng.random(100_000).tolist():
+        key, expected = config_key(space, [c] * 5), reference(c)
+        assert key == expected
+        assert list(map(type, key[:4])) == [float, float, int, int]
+        assert key[4] is expected[4]
+    for c in special:
+        assert tuple(decode(space, [c] * 5).values()) == reference(c)
 
 
 def test_integer_rounds_half_up():
@@ -113,6 +135,16 @@ def test_spec_validation():
         ParameterSpec("x", "categorical", choices=())
     with pytest.raises(ValueError):
         ParameterSpec("x", "categorical", choices=("a", "a"))
+    # (0, inf) would decode c = 0 to NaN and c = 0.5 to inf.
+    for kind in ("continuous", "integer"):
+        for lower, upper in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                ParameterSpec("x", kind, lower=lower, upper=upper)
+    # Integer bounds (0.5, 3.2) would decode only to 1, 2 or 3.
+    for lower, upper in ((0.5, 3.0), (0, 3.2), (0.5, 3.2)):
+        with pytest.raises(ValueError, match="whole numbers"):
+            ParameterSpec("n", "integer", lower=lower, upper=upper)
+    assert ParameterSpec("n", "integer", lower=0.0, upper=3.0).upper == 3.0
 
 
 def test_space_validation():
